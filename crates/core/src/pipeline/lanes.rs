@@ -3,7 +3,7 @@
 //!
 //! A campaign evaluating several configurations over one workload
 //! replays the same [`TraceBuffer`] once per configuration; each solo
-//! replay streams the whole ~150-byte-per-instruction trace through the
+//! replay streams the whole 136-byte-per-instruction trace through the
 //! cache again. [`LaneSet`] fuses those runs: N per-lane simulators
 //! advance in lockstep strides over a *shared* trace window, so a trace
 //! segment pulled into cache by lane 0 is still resident when lanes
@@ -31,7 +31,7 @@ use super::{Simulator, StopCondition};
 
 /// Committed instructions each lane advances per lockstep round. Large
 /// enough that per-round overhead vanishes, small enough that the
-/// active trace window (~150 B/instruction times the stride) stays
+/// active trace window (136 B/instruction times the stride) stays
 /// cache-resident across all lanes of a round.
 const LOCKSTEP_STRIDE: u64 = 8_192;
 

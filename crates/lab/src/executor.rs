@@ -60,7 +60,7 @@ pub struct RunOptions {
     /// the solo path — fusing changes wall-clock and memory locality,
     /// never results. Fused rows always buffer the recorded trace
     /// (replay is what makes the fusion possible), so very large
-    /// per-job budgets cost ~150 B per instruction per worker.
+    /// per-job budgets cost 136 B per instruction per worker.
     pub fused: bool,
 }
 
@@ -228,6 +228,11 @@ impl JobTiming {
     }
 }
 
+/// Largest per-job budget worth buffering for replay: beyond this the
+/// recorded trace's memory cost (136 B per instruction, per worker)
+/// outweighs re-running the streaming tracer per configuration.
+const REPLAY_BUDGET_CAP: u64 = 4_000_000;
+
 /// Runs one grid job as an incremental session: the worker's cached
 /// trace (re-recorded on profile change) replayed with arena-recycled
 /// buffers, advanced through chunked `run_until(Cycles(..))` calls with
@@ -235,11 +240,6 @@ impl JobTiming {
 /// execution is bit-identical to a one-shot `simulate()` (the session
 /// API's core guarantee), so all of this changes wall-clock and
 /// observability, never results.
-/// Largest per-job budget worth buffering for replay: beyond this the
-/// recorded trace's memory cost (~150 B per instruction, per worker)
-/// outweighs re-running the streaming tracer per configuration.
-const REPLAY_BUDGET_CAP: u64 = 4_000_000;
-
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     worker: &mut WorkerContext,
@@ -262,6 +262,7 @@ fn run_job(
     if replayable {
         let key = (trace_key.0, trace_key.1, cfg.max_insts);
         if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
+            worker.trace = None; // never hold two traces at once
             let started = Instant::now();
             let trace =
                 TraceBuffer::record_with_arena(program, cfg.max_insts, &mut worker.arena.trace);
@@ -328,6 +329,7 @@ fn run_fused_row(
     let key = (trace_key.0, trace_key.1, budget);
     let mut trace_secs = 0.0;
     if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
+        worker.trace = None; // never hold two traces at once
         let started = Instant::now();
         let trace = TraceBuffer::record_with_arena(program, budget, &mut worker.arena.trace);
         trace_secs = started.elapsed().as_secs_f64();
@@ -705,6 +707,7 @@ pub fn run_campaign_durable(
         let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
         let mut trace_secs = 0.0;
         if ctx.trace.as_ref().map(|(k, _)| *k) != Some(key) {
+            ctx.trace = None; // never hold two traces at once
             let t0 = Instant::now();
             let trace =
                 TraceBuffer::record_with_arena(program, cfg.max_insts, &mut ctx.arena.trace);

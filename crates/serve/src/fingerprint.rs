@@ -9,52 +9,13 @@
 //! from cache; any change that could alter a single artifact byte
 //! (budget, seed, an extra profile) lands in a different slot.
 //!
-//! The hash is hand-rolled FNV-1a, same as the rest of the workspace —
-//! no crates.io access, and 64 bits is plenty for a cache key space
-//! measured in thousands of campaigns, not billions.
+//! The hash is the workspace's one FNV-1a hasher,
+//! [`nosq_wire::Fnv1a`] — no crates.io access, and 64 bits is plenty
+//! for a cache key space measured in thousands of campaigns, not
+//! billions.
 
 use nosq_lab::Campaign;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64 hasher.
-#[derive(Copy, Clone, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Folds bytes into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-/// Hashes one byte slice in one call.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
+use nosq_wire::Fnv1a;
 
 /// The campaign's service identity: a stable hash over every input
 /// that determines its deterministic artifact bytes.
@@ -109,11 +70,14 @@ mod tests {
             .unwrap()
     }
 
+    /// Fingerprints are job ids and journal keys, so a refactor of the
+    /// hasher or of what it folds in must not move them.
     #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn fingerprint_is_pinned() {
+        let spec = "name = pinned\nconfigs = nosq, baseline-storesets\n\
+                    profiles = gzip, gsm.e\nmax_insts = 3000\nbaseline = baseline-storesets\n";
+        let campaign = Campaign::from_spec(spec).unwrap();
+        assert_eq!(campaign_fingerprint(&campaign), 0x56ab_7353_481a_20e2);
     }
 
     #[test]

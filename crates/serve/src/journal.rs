@@ -28,43 +28,66 @@
 //! file writes and fsyncs go through the [`DurableIo`] seam — this
 //! module never touches `std::fs` outside its tests.
 //!
-//! # On-disk format
+//! # On-disk format (version 2)
 //!
 //! ```text
-//! "NOSQJRNL" magic (8 bytes)  |  u32 LE version (1)
+//! "NOSQJRNL" magic (8 bytes)  |  u32 LE version (2)
 //! repeated records:
 //!   u32 LE payload length  |  u64 LE FNV-1a of payload  |  payload
 //! ```
 //!
-//! A completed-campaign payload is one JSON object `{"job": "<16-hex>",
-//! "name": …, "artifacts": [{"file_name", "contents"}, …]}` — the same
-//! artifact encoding the wire protocol's `done` event uses. A
-//! checkpoint payload is `{"ckpt": "<16-hex>", "name": …, "spec": …,
-//! "job_index": n, "completed": "<hex>", "state": "<hex>"}`, where
-//! `completed` is the wire encoding of the finished jobs' reports and
-//! `state` (absent at a job boundary) is the sealed simulator
-//! checkpoint — itself independently versioned, checksummed, and
-//! config-fingerprinted. Recovery truncates the file back to the last
-//! valid record, so a torn tail is also *physically* removed and the
-//! next append starts from a clean boundary.
+//! A payload is one tag byte followed by its fields. Integers are
+//! little-endian; a *blob* is a `u64` length followed by that many
+//! bytes; text (names, the spec, artifact file names and contents) is
+//! a blob of UTF-8.
+//!
+//! ```text
+//! tag 1, completed campaign:
+//!   fingerprint u64 | name | artifact count u64 | count × (file name | contents)
+//! tag 2, mid-job checkpoint:
+//!   fingerprint u64 | name | spec | job index u64 | completed blob
+//!   | state flag u8 (0 = none, 1 = present) | [state blob]
+//! ```
+//!
+//! The `completed` blob is the [`nosq_wire`] encoding of the finished
+//! jobs' reports. The `state` blob (absent at a job boundary) is the
+//! sealed simulator checkpoint copied verbatim; it is itself
+//! independently versioned, checksummed and config-fingerprinted. A
+//! record whose checksum holds but whose payload does not decode
+//! exactly (unknown tag, a length past the payload's end, non-UTF-8
+//! text, trailing bytes) ends the valid prefix like a torn write does.
+//! Recovery truncates the file back to the last valid record, so a
+//! torn tail is also *physically* removed and the next append starts
+//! from a clean boundary.
+//!
+//! A journal whose header carries another version is refused with an
+//! error that names both versions; no older format is read. Version 1
+//! journals (JSON payloads with hex-encoded blobs) must be finished
+//! with a build that writes version 1, or deleted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nosq_core::ser::{JsonArray, JsonObject};
 use nosq_core::SimReport;
-use nosq_lab::{json, Artifact};
+use nosq_lab::Artifact;
+use nosq_wire::{fnv1a, Dec, Enc, Wire, WireError};
 
 use crate::durable::{DurableFile, DurableIo, OsIo};
-use crate::fingerprint::{fnv1a, parse_fingerprint};
-use crate::protocol::artifacts_from_json;
 
 const MAGIC: &[u8; 8] = b"NOSQJRNL";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Magic plus version.
+const FILE_HEADER: usize = 12;
+/// Per-record framing: payload length plus checksum.
+const RECORD_HEADER: usize = 12;
 /// Sanity bound on one record's payload; a length prefix beyond this is
 /// treated as corruption, not an allocation request.
 const MAX_RECORD: u32 = 256 * 1024 * 1024;
+/// Payload tag of a completed-campaign record.
+const TAG_COMPLETED: u8 = 1;
+/// Payload tag of a mid-job checkpoint record.
+const TAG_CHECKPOINT: u8 = 2;
 
 /// One recovered completed-campaign entry.
 #[derive(Clone, Debug)]
@@ -79,7 +102,7 @@ pub struct JournalEntry {
 
 /// One mid-campaign checkpoint: everything needed to resume a
 /// half-finished campaign without re-simulating its finished prefix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointEntry {
     /// The campaign fingerprint (also the wire job id).
     pub fingerprint: u64,
@@ -138,52 +161,30 @@ impl Journal {
     /// Opens (or creates) the journal at `path` through `io`,
     /// validating every record and truncating the file back to the
     /// last intact one. Returns the journal and what recovery
-    /// salvaged.
+    /// salvaged. A file that is not a journal, or is one of another
+    /// format version, is refused with [`InvalidData`] and left
+    /// untouched.
+    ///
+    /// [`InvalidData`]: std::io::ErrorKind::InvalidData
     pub fn open_with(io: &mut dyn DurableIo, path: &Path) -> std::io::Result<(Journal, Recovered)> {
         let mut file = io.open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        let mut recovered = Recovered::default();
-        let mut partials: BTreeMap<u64, CheckpointEntry> = BTreeMap::new();
-        let mut records = 0u64;
-        let mut valid_end = 0usize;
-        if bytes.len() >= MAGIC.len() + 4 {
-            if &bytes[..8] != MAGIC
-                || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != VERSION
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{} is not a nosq journal", path.display()),
-                ));
-            }
-            valid_end = 12;
-            let mut pos = 12usize;
-            while let Some((record, next)) = read_record(&bytes, pos) {
-                match record {
-                    Record::Completed(entry) => {
-                        // A completed campaign supersedes every
-                        // checkpoint it ever wrote.
-                        partials.remove(&entry.fingerprint);
-                        recovered.completed.push(entry);
-                    }
-                    Record::Checkpoint(entry) => {
-                        partials.insert(entry.fingerprint, entry);
-                    }
-                }
-                records += 1;
-                valid_end = next;
-                pos = next;
-            }
-        } else if !bytes.is_empty() {
-            // A torn header write: shorter than magic+version. Treat as
-            // empty — nothing could have been reported complete yet.
-        }
+        // A file shorter than magic + version is a torn header write:
+        // nothing could have been reported complete yet, so it is
+        // treated as empty.
+        let (recovered, records, valid_end) = if bytes.len() >= FILE_HEADER {
+            check_header(&bytes, path)?;
+            recover(&bytes)
+        } else {
+            (Recovered::default(), 0, 0)
+        };
 
         if valid_end == 0 {
-            // Fresh or unusable header: rewrite from scratch.
+            // Fresh or torn header: rewrite from scratch.
             file.truncate(0)?;
-            let mut header = Vec::with_capacity(12);
+            let mut header = Vec::with_capacity(FILE_HEADER);
             header.extend_from_slice(MAGIC);
             header.extend_from_slice(&VERSION.to_le_bytes());
             file.append(&header)?;
@@ -195,8 +196,7 @@ impl Journal {
             file.sync_data()?;
         }
 
-        recovered.partial = partials.into_values().collect();
-        let truncated = bytes.len().saturating_sub(valid_end.max(12)) as u64;
+        let truncated = bytes.len().saturating_sub(valid_end.max(FILE_HEADER)) as u64;
         Ok((
             Journal {
                 file,
@@ -208,16 +208,11 @@ impl Journal {
         ))
     }
 
-    /// Appends one record (length + checksum + payload) and fsyncs.
-    fn append_record(&mut self, payload: &str) -> std::io::Result<()> {
-        let bytes = payload.as_bytes();
-        let mut record = Vec::with_capacity(12 + bytes.len());
-        record.extend_from_slice(
-            &(u32::try_from(bytes.len()).expect("record < 4 GiB")).to_le_bytes(),
-        );
-        record.extend_from_slice(&fnv1a(bytes).to_le_bytes());
-        record.extend_from_slice(bytes);
-        self.file.append(&record)?;
+    /// Appends one encoded record and fsyncs. A caller that shares the
+    /// journal behind a lock encodes first and holds the lock only for
+    /// this call.
+    pub(crate) fn append_encoded(&mut self, record: &EncodedRecord) -> std::io::Result<()> {
+        self.file.append(&record.0)?;
         self.file.sync_data()?;
         self.records += 1;
         Ok(())
@@ -232,14 +227,14 @@ impl Journal {
         name: &str,
         artifacts: &[Artifact],
     ) -> std::io::Result<()> {
-        self.append_record(&record_payload(fingerprint, name, artifacts))
+        self.append_encoded(&EncodedRecord::completed(fingerprint, name, artifacts))
     }
 
     /// Appends one mid-campaign checkpoint and fsyncs. A later
     /// checkpoint or a completed record for the same campaign
     /// supersedes it at recovery.
     pub fn append_checkpoint(&mut self, entry: &CheckpointEntry) -> std::io::Result<()> {
-        self.append_record(&checkpoint_payload(entry))
+        self.append_encoded(&EncodedRecord::checkpoint(entry))
     }
 
     /// Records appended plus records recovered (checkpoints included).
@@ -258,56 +253,81 @@ impl Journal {
     }
 }
 
-fn record_payload(fingerprint: u64, name: &str, artifacts: &[Artifact]) -> String {
-    let mut arr = JsonArray::new();
-    for a in artifacts {
-        let mut obj = JsonObject::new();
-        obj.field_str("file_name", &a.file_name)
-            .field_str("contents", &a.contents);
-        arr.push_raw(&obj.finish());
-    }
-    let mut obj = JsonObject::new();
-    obj.field_str("job", &crate::fingerprint::fingerprint_hex(fingerprint))
-        .field_str("name", name)
-        .field_raw("artifacts", &arr.finish());
-    obj.finish()
-}
+/// One framed, checksummed record, ready to append.
+///
+/// Encoding is the costly part of an append: a checkpoint carries a
+/// simulator snapshot of about half a megabyte. The daemon therefore
+/// encodes before it takes the journal lock, and the lock covers only
+/// [`Journal::append_encoded`]'s write and fsync. Only the two
+/// encoders below make one.
+pub(crate) struct EncodedRecord(Vec<u8>);
 
-fn checkpoint_payload(entry: &CheckpointEntry) -> String {
-    let mut obj = JsonObject::new();
-    obj.field_str(
-        "ckpt",
-        &crate::fingerprint::fingerprint_hex(entry.fingerprint),
-    )
-    .field_str("name", &entry.name)
-    .field_str("spec", &entry.spec)
-    .field_u64("job_index", entry.job_index)
-    .field_str(
-        "completed",
-        &bytes_to_hex(&nosq_wire::to_bytes(&entry.completed)),
-    );
-    if let Some(state) = &entry.state {
-        obj.field_str("state", &bytes_to_hex(state));
+impl EncodedRecord {
+    /// A completed-campaign record.
+    pub(crate) fn completed(fingerprint: u64, name: &str, artifacts: &[Artifact]) -> EncodedRecord {
+        // Fixed fields: fingerprint, count, one length prefix for the
+        // name and two per artifact.
+        let text: usize = artifacts
+            .iter()
+            .map(|a| 16 + a.file_name.len() + a.contents.len())
+            .sum();
+        let mut e = EncodedRecord::start(TAG_COMPLETED, 24 + name.len() + text);
+        e.put_u64(fingerprint);
+        e.put_blob(name.as_bytes());
+        e.put_u64(artifacts.len() as u64);
+        for a in artifacts {
+            e.put_blob(a.file_name.as_bytes());
+            e.put_blob(a.contents.as_bytes());
+        }
+        EncodedRecord::seal(e)
     }
-    obj.finish()
-}
 
-fn bytes_to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    /// A mid-job checkpoint record. The sealed simulator state is
+    /// copied verbatim.
+    pub(crate) fn checkpoint(entry: &CheckpointEntry) -> EncodedRecord {
+        let completed = nosq_wire::to_bytes(&entry.completed);
+        let state = entry.state.as_deref();
+        // Fixed fields: fingerprint, job index, state flag and four
+        // length prefixes.
+        let size = 49
+            + entry.name.len()
+            + entry.spec.len()
+            + completed.len()
+            + state.map_or(0, <[u8]>::len);
+        let mut e = EncodedRecord::start(TAG_CHECKPOINT, size);
+        e.put_u64(entry.fingerprint);
+        e.put_blob(entry.name.as_bytes());
+        e.put_blob(entry.spec.as_bytes());
+        e.put_u64(entry.job_index);
+        e.put_blob(&completed);
+        match state {
+            None => e.put_u8(0),
+            Some(state) => {
+                e.put_u8(1);
+                e.put_blob(state);
+            }
+        }
+        EncodedRecord::seal(e)
     }
-    out
-}
 
-fn hex_to_bytes(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
+    /// An encoder holding a placeholder record header, then `tag`;
+    /// `payload` is the expected payload size after the tag.
+    fn start(tag: u8, payload: usize) -> Enc {
+        let mut e = Enc::with_capacity(RECORD_HEADER + 1 + payload);
+        e.put_bytes(&[0; RECORD_HEADER]);
+        e.put_u8(tag);
+        e
     }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok())
-        .collect()
+
+    /// Fills in the record header: payload length and checksum.
+    fn seal(e: Enc) -> EncodedRecord {
+        let mut bytes = e.into_bytes();
+        let (header, payload) = bytes.split_at_mut(RECORD_HEADER);
+        let len = u32::try_from(payload.len()).expect("record < 4 GiB");
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
+        EncodedRecord(bytes)
+    }
 }
 
 /// Turns a recovered [`CheckpointEntry`] into an executor
@@ -359,57 +379,117 @@ enum Record {
     Checkpoint(CheckpointEntry),
 }
 
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Refuses a file that is not a journal, or is a journal of another
+/// format version. The two get different messages: the first is
+/// somebody else's file, the second needs the build that wrote it.
+fn check_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
+    if &bytes[..MAGIC.len()] != MAGIC {
+        return Err(invalid_data(format!(
+            "{} is not a nosq journal",
+            path.display()
+        )));
+    }
+    let version = u32::from_le_bytes(bytes[MAGIC.len()..FILE_HEADER].try_into().expect("4 bytes"));
+    if version != VERSION {
+        return Err(invalid_data(format!(
+            "{} is a version {version} nosq journal; this build reads version {VERSION} only \
+             (finish it with a build that reads version {version}, or delete it)",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Replays the records after the file header, stopping at the first
+/// one that is short, fails its checksum, or does not decode. Returns
+/// what they recover, how many they were, and where the valid prefix
+/// ends.
+fn recover(bytes: &[u8]) -> (Recovered, u64, usize) {
+    let mut recovered = Recovered::default();
+    let mut partials: BTreeMap<u64, CheckpointEntry> = BTreeMap::new();
+    let mut records = 0u64;
+    let mut pos = FILE_HEADER;
+    while let Some((record, next)) = read_record(bytes, pos) {
+        match record {
+            Record::Completed(entry) => {
+                // A completed campaign supersedes every checkpoint it
+                // ever wrote.
+                partials.remove(&entry.fingerprint);
+                recovered.completed.push(entry);
+            }
+            Record::Checkpoint(entry) => {
+                partials.insert(entry.fingerprint, entry);
+            }
+        }
+        records += 1;
+        pos = next;
+    }
+    recovered.partial = partials.into_values().collect();
+    (recovered, records, pos)
+}
+
 /// Validates and decodes the record starting at `pos`; `None` on a
 /// short, corrupt, or malformed record (recovery stops there).
 fn read_record(bytes: &[u8], pos: usize) -> Option<(Record, usize)> {
-    let header = bytes.get(pos..pos + 12)?;
+    let header = bytes.get(pos..pos + RECORD_HEADER)?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
     if len > MAX_RECORD {
         return None;
     }
-    let checksum = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let payload = bytes.get(pos + 12..pos + 12 + len as usize)?;
+    let checksum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    let next = pos + RECORD_HEADER + len as usize;
+    let payload = bytes.get(pos + RECORD_HEADER..next)?;
     if fnv1a(payload) != checksum {
         return None;
     }
-    let text = std::str::from_utf8(payload).ok()?;
-    let doc = json::parse(text).ok()?;
-    let next = pos + 12 + len as usize;
-    if let Some(ckpt) = doc.get("ckpt") {
-        let fingerprint = parse_fingerprint(ckpt.as_str()?)?;
-        let name = doc.get("name")?.as_str()?.to_owned();
-        let spec = doc.get("spec")?.as_str()?.to_owned();
-        let job_index = doc.get("job_index")?.as_u64()?;
-        let completed_hex = doc.get("completed")?.as_str()?;
-        let completed: Vec<SimReport> =
-            nosq_wire::from_bytes(&hex_to_bytes(completed_hex)?).ok()?;
-        let state = match doc.get("state") {
-            Some(s) => Some(hex_to_bytes(s.as_str()?)?),
-            None => None,
-        };
-        return Some((
-            Record::Checkpoint(CheckpointEntry {
+    Some((decode(payload).ok()?, next))
+}
+
+/// Decodes one checksummed payload. Every length is checked against
+/// the bytes present before anything is allocated, and the payload
+/// must be consumed exactly.
+fn decode(payload: &[u8]) -> Result<Record, WireError> {
+    let mut d = Dec::new(payload);
+    let record = match d.take_u8()? {
+        TAG_COMPLETED => {
+            let fingerprint = d.take_u64()?;
+            let name = String::dec(&mut d)?;
+            // The count only bounds the loop: each artifact must
+            // actually be present before it is pushed.
+            let count = d.take_u64()?;
+            let mut artifacts = Vec::new();
+            for _ in 0..count {
+                artifacts.push(Artifact {
+                    file_name: String::dec(&mut d)?,
+                    contents: String::dec(&mut d)?,
+                });
+            }
+            Record::Completed(JournalEntry {
                 fingerprint,
                 name,
-                spec,
-                job_index,
-                completed,
-                state,
-            }),
-            next,
-        ));
-    }
-    let fingerprint = parse_fingerprint(doc.get("job")?.as_str()?)?;
-    let name = doc.get("name")?.as_str()?.to_owned();
-    let artifacts = artifacts_from_json(&doc).ok()?;
-    Some((
-        Record::Completed(JournalEntry {
-            fingerprint,
-            name,
-            artifacts: Arc::new(artifacts),
+                artifacts: Arc::new(artifacts),
+            })
+        }
+        TAG_CHECKPOINT => Record::Checkpoint(CheckpointEntry {
+            fingerprint: d.take_u64()?,
+            name: String::dec(&mut d)?,
+            spec: String::dec(&mut d)?,
+            job_index: d.take_u64()?,
+            completed: nosq_wire::from_bytes(d.take_blob()?)?,
+            state: match d.take_u8()? {
+                0 => None,
+                1 => Some(d.take_blob()?.to_vec()),
+                _ => return Err(WireError::Invalid("checkpoint state flag")),
+            },
         }),
-        next,
-    ))
+        _ => return Err(WireError::Invalid("journal record tag")),
+    };
+    d.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -544,6 +624,34 @@ mod tests {
         std::fs::write(&path, b"this is not a journal file at all").unwrap();
         let err = Journal::open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("is not a nosq journal"), "{msg}");
+        assert!(!msg.contains("version"), "{msg}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A journal of another format version is refused by name, not
+    /// mistaken for a foreign file, and left as it was.
+    #[test]
+    fn version_1_journal_is_refused() {
+        let path = scratch("v1.journal");
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(b"\x10\0\0\0{\"job\":\"0000\"}");
+        std::fs::write(&path, &v1).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("version 1") && msg.contains("version 2"),
+            "the error must name the found and expected versions: {msg}"
+        );
+        assert!(!msg.contains("is not a nosq journal"), "{msg}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            v1,
+            "a refused file is untouched"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -687,5 +795,183 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One record built by hand: `tag`, then whatever `body` writes,
+    /// under a valid length and checksum.
+    fn hand_record(tag: u8, body: impl FnOnce(&mut Enc)) -> EncodedRecord {
+        let mut e = EncodedRecord::start(tag, 0);
+        body(&mut e);
+        EncodedRecord::seal(e)
+    }
+
+    /// Records whose checksum holds but whose contents lie end the
+    /// valid prefix like a torn write: no panic, and the record before
+    /// them survives. No length or count is trusted for allocation —
+    /// reserving `u64::MAX` artifacts or a blob of a lying length would
+    /// abort this test.
+    #[test]
+    fn lying_payloads_end_the_valid_prefix() {
+        type Body = fn(&mut Enc);
+        let well_formed: Body = |e| {
+            e.put_u64(1);
+            e.put_blob(b"x");
+            e.put_u64(0);
+        };
+        let cases: [(&str, u8, Body); 6] = [
+            ("blob length past the payload end", TAG_COMPLETED, |e| {
+                e.put_u64(1);
+                e.put_u64(1000);
+                e.put_bytes(b"abc");
+            }),
+            ("artifact count of u64::MAX", TAG_COMPLETED, |e| {
+                e.put_u64(1);
+                e.put_blob(b"x");
+                e.put_u64(u64::MAX);
+                e.put_blob(b"x.csv");
+                e.put_blob(b"a,b\n");
+            }),
+            ("unknown tag", 9, |e| {
+                e.put_u64(1);
+                e.put_blob(b"x");
+                e.put_u64(0);
+            }),
+            ("non-UTF-8 name", TAG_COMPLETED, |e| {
+                e.put_u64(1);
+                e.put_blob(&[0xff, 0xfe]);
+                e.put_u64(0);
+            }),
+            ("trailing bytes", TAG_COMPLETED, |e| {
+                e.put_u64(1);
+                e.put_blob(b"x");
+                e.put_u64(0);
+                e.put_u8(0);
+            }),
+            ("checkpoint state flag of 7", TAG_CHECKPOINT, |e| {
+                e.put_u64(1);
+                e.put_blob(b"x");
+                e.put_blob(b"name = x");
+                e.put_u64(0);
+                e.put_blob(&nosq_wire::to_bytes(&Vec::<SimReport>::new()));
+                e.put_u8(7);
+            }),
+        ];
+        // The cases differ from a well-formed record only in the lie.
+        let control = hand_record(TAG_COMPLETED, well_formed);
+        assert!(decode(&control.0[RECORD_HEADER..]).is_ok());
+
+        for (i, (what, tag, body)) in cases.into_iter().enumerate() {
+            let path = scratch(&format!("lying-{i}.journal"));
+            {
+                let (mut j, _) = Journal::open(&path).unwrap();
+                j.append(7, "keep", &artifacts("keep")).unwrap();
+                j.append_encoded(&hand_record(tag, body)).unwrap();
+                j.append(8, "after", &artifacts("after")).unwrap();
+            }
+            let (j, recovered) = Journal::open(&path).unwrap();
+            assert_eq!(j.records(), 1, "{what}");
+            assert!(j.truncated_bytes() > 0, "{what}");
+            assert_eq!(recovered.completed.len(), 1, "{what}");
+            assert_eq!(recovered.completed[0].name, "keep", "{what}");
+            assert_eq!(
+                *recovered.completed[0].artifacts,
+                artifacts("keep"),
+                "{what}"
+            );
+            assert!(recovered.partial.is_empty(), "{what}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A checkpoint as the daemon journals it: taken from a real run
+    /// partway through a job.
+    fn real_checkpoint() -> CheckpointEntry {
+        use nosq_check::sync::StdSync;
+        use nosq_lab::{
+            run_campaign_durable, synthesize_programs, Campaign, ProgressCounters, WorkerContext,
+        };
+        let spec = "name = real\nconfigs = nosq\nprofiles = gzip\nmax_insts = 4000\n";
+        let campaign = Campaign::from_spec(spec).unwrap();
+        let programs = synthesize_programs(&campaign, 1);
+        let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+        let mut captured = None;
+        run_campaign_durable(
+            &campaign,
+            &programs,
+            &mut WorkerContext::new(),
+            &progress,
+            2000,
+            None,
+            &mut |ev| {
+                if captured.is_none() && ev.state.is_some() {
+                    captured = Some(CheckpointEntry {
+                        fingerprint: crate::fingerprint::campaign_fingerprint(&campaign),
+                        name: campaign.name.clone(),
+                        spec: spec.to_owned(),
+                        job_index: ev.job_index as u64,
+                        completed: ev.completed.to_vec(),
+                        state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
+                    });
+                }
+            },
+        );
+        captured.expect("a 4000-instruction job checkpoints at cadence 2000")
+    }
+
+    /// Cutting a real-size checkpoint record at any byte loses that
+    /// record only: the records before it are recovered intact, the
+    /// cut tail is removed, and the journal takes appends again.
+    #[test]
+    fn every_truncation_of_a_real_checkpoint_keeps_the_records_before_it() {
+        let entry = real_checkpoint();
+        let state = entry.state.as_ref().map_or(0, Vec::len);
+        assert!(state >= 400 * 1024, "a real snapshot, not {state} bytes");
+        let prior = CheckpointEntry {
+            job_index: 0,
+            completed: Vec::new(),
+            state: None,
+            ..entry.clone()
+        };
+
+        let path = scratch("real-ckpt.journal");
+        let boundary = {
+            let (mut j, _) = Journal::open(&path).unwrap();
+            j.append(1, "done", &artifacts("done")).unwrap();
+            j.append_checkpoint(&prior).unwrap();
+            let boundary = std::fs::metadata(&path).unwrap().len() as usize;
+            j.append_checkpoint(&entry).unwrap();
+            boundary
+        };
+        let bytes = std::fs::read(&path).unwrap();
+        let (whole, records, end) = recover(&bytes);
+        assert_eq!((records, end), (3, bytes.len()));
+        assert_eq!(
+            whole.partial,
+            std::slice::from_ref(&entry),
+            "the whole record supersedes"
+        );
+
+        let done = artifacts("done");
+        for cut in boundary..bytes.len() {
+            let (got, records, end) = recover(&bytes[..cut]);
+            assert_eq!((records, end), (2, boundary), "cut at {cut}");
+            assert_eq!(got.partial, std::slice::from_ref(&prior), "cut at {cut}");
+            assert_eq!(got.completed.len(), 1, "cut at {cut}");
+            assert_eq!(*got.completed[0].artifacts, done, "cut at {cut}");
+        }
+
+        // Through the file itself, at a few cuts: header, state, last byte.
+        for cut in [boundary + 5, boundary + state / 2, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (mut j, got) = Journal::open(&path).unwrap();
+            assert_eq!(j.truncated_bytes(), (cut - boundary) as u64);
+            assert_eq!(got.partial, std::slice::from_ref(&prior));
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, boundary);
+            j.append_checkpoint(&entry).unwrap();
+            drop(j);
+            let (_, again) = Journal::open(&path).unwrap();
+            assert_eq!(again.partial, std::slice::from_ref(&entry));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

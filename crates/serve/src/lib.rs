@@ -21,8 +21,10 @@
 //! * [`cache`] — the fingerprint-keyed LRU over deterministic
 //!   artifacts;
 //! * [`journal`] — the length-prefixed, checksummed, fsync'd
-//!   append-only record of completed campaigns (a killed daemon
-//!   resumes without re-simulating anything it finished);
+//!   append-only binary record of completed campaigns and of mid-job
+//!   checkpoints (a killed daemon serves everything it finished
+//!   without re-simulating, and resumes a half-finished campaign from
+//!   its last checkpoint);
 //! * [`fingerprint`] — FNV-1a campaign identity: the cache key, the
 //!   journal key, and the wire job id are all the same 64-bit hash;
 //! * [`signal`] — SIGTERM/SIGINT → drain-flag plumbing (the one
@@ -61,7 +63,7 @@ pub mod signal;
 pub use cache::ResultCache;
 pub use client::{ClientError, JobOutcome, ServeClient, SubmitReply};
 pub use durable::{DurableFile, DurableIo, Fault, FaultIo, FaultKind, OsIo};
-pub use fingerprint::{campaign_fingerprint, fingerprint_hex, fnv1a, parse_fingerprint};
+pub use fingerprint::{campaign_fingerprint, fingerprint_hex, parse_fingerprint};
 pub use journal::{resume_state, CheckpointEntry, Journal, JournalEntry, Recovered};
 pub use loadgen::{loadgen_json, run_loadgen, LoadgenOptions, LoadgenReport};
 pub use server::{ServeOptions, ServeStats, Server};

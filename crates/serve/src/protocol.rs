@@ -174,8 +174,7 @@ pub fn done_line(job: &str, name: &str, cached: bool, artifacts: &[Artifact]) ->
     obj.finish()
 }
 
-/// Extracts the artifacts array from a parsed `done` event (or a
-/// journal record, which shares the shape).
+/// Extracts the artifacts array from a parsed `done` event.
 pub fn artifacts_from_json(doc: &Json) -> Result<Vec<Artifact>, String> {
     let arr = doc
         .get("artifacts")

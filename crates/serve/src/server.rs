@@ -28,7 +28,9 @@
 //! mutex over the job registry, one over the cache, one over the
 //! journal. Those guard *per-campaign* operations (a handful per
 //! second) while each job burns millions of simulated cycles between
-//! lock touches, so there is nothing for finer locking to win.
+//! lock touches, so there is nothing for finer locking to win. Journal
+//! records are encoded before the journal lock is taken; the lock
+//! covers only the write and its fsync.
 //!
 //! The drain protocol mirrors the `mpmc-close` model's happens-before
 //! shape: `draining = true` and `queue.close()` happen under the
@@ -63,7 +65,7 @@ use nosq_lab::{
 
 use crate::cache::ResultCache;
 use crate::fingerprint::{campaign_fingerprint, fingerprint_hex, parse_fingerprint};
-use crate::journal::{CheckpointEntry, Journal};
+use crate::journal::{CheckpointEntry, EncodedRecord, Journal};
 use crate::protocol::{
     busy_line, done_line, error_line, evicted_line, parse_request, progress_line, submit_line,
     unknown_job_line, Request,
@@ -430,8 +432,12 @@ fn run_one(shared: &Shared, job: QueuedJob, ctx: &mut WorkerContext) {
                 completed: ev.completed.to_vec(),
                 state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
             };
+            // Encode before locking: the lock covers the write and
+            // fsync only, so the other workers' appends never wait on
+            // this one's encoding.
+            let record = EncodedRecord::checkpoint(&entry);
             if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
-                if let Err(e) = journal.append_checkpoint(&entry) {
+                if let Err(e) = journal.append_encoded(&record) {
                     eprintln!(
                         "nosq serve: warning: checkpoint append failed for {}: {e}",
                         fingerprint_hex(job.fingerprint)
@@ -459,13 +465,17 @@ fn run_one(shared: &Shared, job: QueuedJob, ctx: &mut WorkerContext) {
 
     // Journal first (fsync), then cache, then report done — a crash
     // after the append can only lose the *report*, never the result.
-    if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
-        if let Err(e) = journal.append(job.fingerprint, &job.campaign.name, &files) {
-            // Keep serving from memory; the operator sees the warning.
-            eprintln!(
-                "nosq serve: warning: journal append failed for {}: {e}",
-                fingerprint_hex(job.fingerprint)
-            );
+    if journaled {
+        let record = EncodedRecord::completed(job.fingerprint, &job.campaign.name, &files);
+        if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
+            if let Err(e) = journal.append_encoded(&record) {
+                // Keep serving from memory; the operator sees the
+                // warning.
+                eprintln!(
+                    "nosq serve: warning: journal append failed for {}: {e}",
+                    fingerprint_hex(job.fingerprint)
+                );
+            }
         }
     }
     shared

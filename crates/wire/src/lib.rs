@@ -5,6 +5,9 @@
 //! decoder ([`Dec`]) is bounds-checked and never panics on hostile
 //! bytes, plus a versioned, checksummed [`envelope`] that rejects any
 //! truncation or bit-flip before a single payload byte is interpreted.
+//! The crate also owns the workspace's one FNV-1a byte hasher
+//! ([`Fnv1a`]): the envelope and journal checksums, the checkpoint
+//! config fingerprint and the campaign fingerprint all use it.
 //!
 //! The durable-structure correctness criterion (after any crash,
 //! recovery observes a fully-applied record or none of it — never a
@@ -17,19 +20,47 @@ use std::collections::BinaryHeap;
 
 pub mod envelope;
 
-/// 64-bit FNV-1a over `bytes`.
+/// Incremental 64-bit FNV-1a.
 ///
 /// The per-byte step (xor, then multiply by the odd FNV prime) is a
 /// bijection on `u64`, so any single-byte substitution anywhere in the
 /// input changes the digest — the property the [`envelope`] checksum
-/// and the corruption test matrix rely on.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// and the corruption test matrix rely on. Feeding the input in pieces
+/// gives the same digest as one [`fnv1a`] call over their
+/// concatenation.
+#[derive(Copy, Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds bytes into the running hash.
+    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The current hash value.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+/// 64-bit FNV-1a over `bytes`: the one-shot form of [`Fnv1a`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    Fnv1a::new().update(bytes).finish()
 }
 
 /// Decode failure: the bytes do not describe a value of the requested
@@ -75,6 +106,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// An empty encoder with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Enc {
+        Enc {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -98,6 +136,13 @@ impl Enc {
     /// Appends raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a length-prefixed byte string: its length as a `u64`,
+    /// then the bytes verbatim. [`Dec::take_blob`] reads it back.
+    pub fn put_blob(&mut self, bytes: &[u8]) {
+        self.put_u64(bytes.len() as u64);
+        self.put_bytes(bytes);
     }
 
     /// Consumes the encoder and returns the bytes.
@@ -165,6 +210,15 @@ impl<'a> Dec<'a> {
     /// Takes a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Takes a length-prefixed byte string written by
+    /// [`Enc::put_blob`], borrowed from the input. A length beyond the
+    /// bytes present is an error, never an allocation.
+    pub fn take_blob(&mut self) -> Result<&'a [u8], WireError> {
+        let len = usize::try_from(self.take_u64()?)
+            .map_err(|_| WireError::Invalid("blob length overflow"))?;
+        self.take(len)
     }
 
     /// Asserts the buffer is fully consumed.
@@ -268,6 +322,18 @@ impl Wire for bool {
             1 => Ok(true),
             _ => Err(WireError::Invalid("bool tag")),
         }
+    }
+}
+
+// A string travels as a length-prefixed blob of its UTF-8 bytes.
+impl Wire for String {
+    fn enc(&self, e: &mut Enc) {
+        e.put_blob(self.as_bytes());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        std::str::from_utf8(d.take_blob()?)
+            .map(str::to_owned)
+            .map_err(|_| WireError::Invalid("string is not UTF-8"))
     }
 }
 
@@ -454,6 +520,60 @@ mod tests {
         assert_eq!(to_bytes(&h1), to_bytes(&h2));
         let back: BinaryHeap<u64> = from_bytes(&to_bytes(&h1)).unwrap();
         assert_eq!(back.into_sorted_vec(), vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn blobs_and_strings_roundtrip() {
+        let mut e = Enc::new();
+        e.put_blob(&[1, 2, 3]);
+        e.put_blob(&[]);
+        "h\u{e9}llo".to_owned().enc(&mut e);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.take_blob().unwrap(), &[1, 2, 3]);
+        assert_eq!(d.take_blob().unwrap(), &[] as &[u8]);
+        assert_eq!(String::dec(&mut d).unwrap(), "h\u{e9}llo");
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn hostile_blob_length_is_rejected() {
+        for len in [4u64, u64::MAX] {
+            let mut e = Enc::new();
+            e.put_u64(len);
+            e.put_bytes(&[0; 3]);
+            let bytes = e.into_bytes();
+            assert!(matches!(
+                Dec::new(&bytes).take_blob(),
+                Err(WireError::Truncated { .. } | WireError::Invalid(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn non_utf8_string_is_rejected() {
+        let mut e = Enc::new();
+        e.put_blob(&[0xff, 0xfe]);
+        assert_eq!(
+            from_bytes::<String>(&e.into_bytes()),
+            Err(WireError::Invalid("string is not UTF-8"))
+        );
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        // Feeding the input in pieces changes nothing.
+        assert_eq!(
+            Fnv1a::new()
+                .update(b"foo")
+                .update(b"")
+                .update(b"bar")
+                .finish(),
+            fnv1a(b"foobar")
+        );
     }
 
     #[test]
