@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// identified at rename time.
 fn score(kernel: &dyn Kernel, budget: u64) -> (f64, f64, u64) {
     let program = kernel_driver(kernel);
-    let mut dist_table: HashMap<u64, u64> = HashMap::new(); // load pc -> distance
+    let mut dist_table: HashMap<u64, u32> = HashMap::new(); // load pc -> distance
     let mut last_instance: HashMap<u64, u64> = HashMap::new(); // store pc -> ssn
     let mut dep_store_pc: HashMap<u64, u64> = HashMap::new(); // load pc -> store pc
     let mut store_pc_by_ssn: HashMap<u64, u64> = HashMap::new();
@@ -31,8 +31,8 @@ fn score(kernel: &dyn Kernel, budget: u64) -> (f64, f64, u64) {
         match d.class {
             InstClass::Store => {
                 let ssn = d.stores_before + 1;
-                last_instance.insert(d.rec.pc, ssn);
-                store_pc_by_ssn.insert(ssn, d.rec.pc);
+                last_instance.insert(d.pc, ssn);
+                store_pc_by_ssn.insert(ssn, d.pc);
             }
             InstClass::Load => {
                 if let Some(dep) = d.mem_dep {
@@ -40,24 +40,24 @@ fn score(kernel: &dyn Kernel, budget: u64) -> (f64, f64, u64) {
                         continue;
                     }
                     comm += 1;
-                    let actual_ssn = d.stores_before - dep.store_distance;
+                    let actual_ssn = d.stores_before - u64::from(dep.store_distance);
                     // Distance scheme: predict SSNrename - learned distance.
-                    if let Some(dist) = dist_table.get(&d.rec.pc) {
-                        if d.stores_before.saturating_sub(*dist) == actual_ssn {
+                    if let Some(dist) = dist_table.get(&d.pc) {
+                        if d.stores_before.saturating_sub(u64::from(*dist)) == actual_ssn {
                             dist_ok += 1;
                         }
                     }
                     // Store-PC scheme: predict the most recent instance of
                     // the learned static store.
-                    if let Some(spc) = dep_store_pc.get(&d.rec.pc) {
+                    if let Some(spc) = dep_store_pc.get(&d.pc) {
                         if last_instance.get(spc) == Some(&actual_ssn) {
                             pc_ok += 1;
                         }
                     }
                     // Oracle training for both.
-                    dist_table.insert(d.rec.pc, dep.store_distance);
+                    dist_table.insert(d.pc, dep.store_distance);
                     if let Some(spc) = store_pc_by_ssn.get(&actual_ssn) {
-                        dep_store_pc.insert(d.rec.pc, *spc);
+                        dep_store_pc.insert(d.pc, *spc);
                     }
                 }
             }

@@ -115,7 +115,7 @@ impl CoreBuffers {
 ///
 /// The pipeline stores each dynamic instruction exactly once, here, and
 /// passes 4-byte indices through the fetch buffer, ROB and replay
-/// queues instead of 136-byte `DynInst` copies.
+/// queues instead of `size_of::<DynInst>()`-byte copies.
 #[derive(Clone, Default)]
 pub(crate) struct InstPool {
     slots: Vec<DynInst>,

@@ -3,14 +3,15 @@
 //!
 //! A campaign evaluating several configurations over one workload
 //! replays the same [`TraceBuffer`] once per configuration; each solo
-//! replay streams the whole 136-byte-per-instruction trace through the
-//! cache again. [`LaneSet`] fuses those runs: N per-lane simulators
-//! advance in lockstep strides over a *shared* trace window, so a trace
-//! segment pulled into cache by lane 0 is still resident when lanes
-//! 1..N decode it, and replayed instructions are never copied at all
-//! (each lane's in-flight indices address the trace directly). Lanes
-//! also run in batch mode, which lets the scheduler jump over provably
-//! idle cycle spans instead of stepping through them.
+//! replay streams the whole trace (`size_of::<DynInst>()` bytes per
+//! instruction) through the cache again. [`LaneSet`] fuses those runs:
+//! N per-lane simulators advance in lockstep strides over a *shared*
+//! trace window, so a trace segment pulled into cache by lane 0 is
+//! still resident when lanes 1..N decode it, and replayed instructions
+//! are never copied at all (each lane's in-flight indices address the
+//! trace directly). Lanes also run in batch mode, which lets the
+//! scheduler jump over provably idle cycle spans instead of stepping
+//! through them.
 //!
 //! Byte-identity is the contract: a lane's [`SimReport`] equals the
 //! solo [`Simulator::replay`] report for the same configuration, bit
@@ -31,7 +32,7 @@ use super::{Simulator, StopCondition};
 
 /// Committed instructions each lane advances per lockstep round. Large
 /// enough that per-round overhead vanishes, small enough that the
-/// active trace window (136 B/instruction times the stride) stays
+/// active trace window (`size_of::<DynInst>()` times the stride) stays
 /// cache-resident across all lanes of a round.
 const LOCKSTEP_STRIDE: u64 = 8_192;
 

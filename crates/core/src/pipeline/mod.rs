@@ -477,7 +477,6 @@ pub struct Simulator<'p> {
     /// for interactive sessions, whose per-cycle observer and predicate
     /// contracts require visiting every cycle.
     batch: bool,
-    mispredict_pcs: std::collections::HashMap<u64, u64>,
     /// Where to return the recyclable buffers at `finish`.
     arena_core: Option<&'p mut CoreBuffers>,
 }
@@ -701,7 +700,6 @@ impl<'p> Simulator<'p> {
             cfg,
             done: false,
             batch: false,
-            mispredict_pcs: std::collections::HashMap::new(),
             arena_core,
         }
     }
@@ -998,13 +996,6 @@ impl<'p> Simulator<'p> {
     /// the arena here.
     pub fn finish(mut self) -> SimReport {
         self.release_buffers();
-        if !self.mispredict_pcs.is_empty() {
-            let mut v: Vec<_> = self.mispredict_pcs.iter().collect();
-            v.sort_by_key(|(_, c)| std::cmp::Reverse(**c));
-            for (pc, c) in v.iter().take(10) {
-                eprintln!("  mispredict pc={pc:#x} count={c}");
-            }
-        }
         self.stats
     }
 
@@ -1131,7 +1122,7 @@ impl<'p> Simulator<'p> {
             if !self.observers.is_empty() {
                 let ev = CommitEvent {
                     cycle: self.clock,
-                    pc: self.insts[entry.inst].rec.pc,
+                    pc: self.insts[entry.inst].pc,
                     class,
                 };
                 self.emit(|o| o.on_commit(&ev));
@@ -1147,7 +1138,7 @@ impl<'p> Simulator<'p> {
                         } else {
                             SquashCause::OrderingViolation
                         },
-                        load_pc: self.insts[entry.inst].rec.pc,
+                        load_pc: self.insts[entry.inst].pc,
                         squashed,
                     };
                     self.emit(|o| o.on_squash(&ev));
@@ -1162,14 +1153,14 @@ impl<'p> Simulator<'p> {
     /// Store effects at its data-cache stage: write the commit-ordered
     /// memory image, update the T-SSBF and SSN counters (paper Table 4).
     fn commit_store(&mut self, entry: &Entry) {
-        let (addr, width) = {
+        let (addr, width, store_mem_bits) = {
             let d = &self.insts[entry.inst];
             (
-                d.rec.addr,
-                d.rec.inst.mem_width().expect("store width").bytes(),
+                d.addr,
+                d.inst.mem_width().expect("store width").bytes(),
+                d.store_mem_bits(),
             )
         };
-        let store_mem_bits = self.insts[entry.inst].rec.store_mem_bits;
         self.timing_mem.write(addr, width, store_mem_bits);
         self.tssbf.record_store(addr, width as u8, entry.ssn);
         self.hierarchy.store_commit(addr);
@@ -1204,15 +1195,15 @@ impl<'p> Simulator<'p> {
             return false;
         }
         let d = &self.insts[entry.inst];
-        let width = d.rec.inst.mem_width().expect("load width").bytes() as u8;
+        let width = d.inst.mem_width().expect("load width").bytes() as u8;
         match ls.mode {
             LoadMode::Bypassed { .. } => {
                 self.tssbf
-                    .must_reexecute_equality(d.rec.addr, width, ls.ssn_nvul)
+                    .must_reexecute_equality(d.addr, width, ls.ssn_nvul)
             }
             _ => self
                 .tssbf
-                .must_reexecute_inequality(d.rec.addr, width, ls.ssn_nvul),
+                .must_reexecute_inequality(d.addr, width, ls.ssn_nvul),
         }
     }
 
@@ -1221,10 +1212,10 @@ impl<'p> Simulator<'p> {
     fn verify_load(&mut self, entry: &Entry, reexec: bool) -> bool {
         let ls = entry.load.as_ref().expect("load state");
         let d = self.insts[entry.inst]; // one local copy per committed load
-        let width = d.rec.inst.mem_width().expect("load width");
+        let width = d.inst.mem_width().expect("load width");
         self.stats.memory.loads += 1;
         if let Some(dep) = d.mem_dep {
-            if dep.inst_distance < self.cfg.machine.rob_size as u64 {
+            if (dep.inst_distance as usize) < self.cfg.machine.rob_size {
                 self.stats.memory.comm_loads += 1;
                 if d.is_partial_word_comm() {
                     self.stats.memory.partial_comm_loads += 1;
@@ -1244,22 +1235,22 @@ impl<'p> Simulator<'p> {
         if reexec {
             self.stats.verification.backend_dcache_reads += 1;
             // All older stores have committed: this read is correct.
-            let raw = self.timing_mem.read(d.rec.addr, width.bytes());
-            let ext = match d.rec.inst {
+            let raw = self.timing_mem.read(d.addr, width.bytes());
+            let ext = match d.inst {
                 Inst::Load { ext, .. } => ext,
                 _ => unreachable!("load entry holds a load"),
             };
             let ndata = load_extend(raw, width, ext);
-            debug_assert_eq!(ndata, d.rec.load_value, "re-execution must be correct");
-            self.hierarchy.load_latency(d.rec.addr); // cache state effects
+            debug_assert_eq!(ndata, d.load_value(), "re-execution must be correct");
+            self.hierarchy.load_latency(d.addr); // cache state effects
             if ndata != ls.exec_value {
                 mispredict = true;
             }
             if !self.observers.is_empty() {
                 let ev = ReexecEvent {
                     cycle: self.clock,
-                    pc: d.rec.pc,
-                    addr: d.rec.addr,
+                    pc: d.pc,
+                    addr: d.addr,
                     mismatch: mispredict,
                 };
                 self.emit(|o| o.on_reexec(&ev));
@@ -1272,15 +1263,15 @@ impl<'p> Simulator<'p> {
             // filter bug vouches for them unconditionally.
             if !ls.injected {
                 if let LoadMode::Bypassed { .. } = ls.mode {
-                    if let TssbfLookup::Hit(e) = self.tssbf.lookup(d.rec.addr, width.bytes() as u8)
-                    {
-                        let actual_shift = d.rec.addr.wrapping_sub(e.store_addr()) as u8;
+                    if let TssbfLookup::Hit(e) = self.tssbf.lookup(d.addr, width.bytes() as u8) {
+                        let actual_shift = d.addr.wrapping_sub(e.store_addr()) as u8;
                         let predicted_shift = ls.pred.map(|p| p.shift).unwrap_or(0);
                         if actual_shift != predicted_shift {
                             mispredict = true;
                         } else {
                             debug_assert_eq!(
-                                ls.exec_value, d.rec.load_value,
+                                ls.exec_value,
+                                d.load_value(),
                                 "filtered bypass with correct shift must be correct"
                             );
                         }
@@ -1296,7 +1287,7 @@ impl<'p> Simulator<'p> {
                     self.stats.verification.ordering_squashes += 1;
                     if let Some(dep_ssn) = d.dep_ssn() {
                         if let Some(info) = self.srq.get(Ssn(dep_ssn)) {
-                            self.storesets.train_violation(d.rec.pc, info.pc);
+                            self.storesets.train_violation(d.pc, info.pc);
                         }
                     }
                 }
@@ -1322,12 +1313,12 @@ impl<'p> Simulator<'p> {
         let ev = LoadCommitEvent {
             cycle: self.clock,
             seq: d.seq,
-            pc: d.rec.pc,
-            addr: d.rec.addr,
+            pc: d.pc,
+            addr: d.addr,
             kind,
             predicted_ssn: ls.ssn_byp.map(|s| s.0),
             value: ls.exec_value,
-            arch_value: d.rec.load_value,
+            arch_value: d.load_value(),
             reexec,
             mispredict,
             oracle: ls.oracle,
@@ -1348,19 +1339,16 @@ impl<'p> Simulator<'p> {
         history.restore(entry.path_snap);
         if mispredict {
             self.stats.verification.bypass_mispredicts += 1;
-            if std::env::var_os("NOSQ_DEBUG_MISPREDICTS").is_some() {
-                *self.mispredict_pcs.entry(d.rec.pc).or_insert(0) += 1;
-            }
-            let width = d.rec.inst.mem_width().expect("load width").bytes() as u8;
+            let width = d.inst.mem_width().expect("load width").bytes() as u8;
             // Compute the actual distance/shift from the T-SSBF (§3.1:
             // distbyp = SSNcommit − T-SSBF[addr]; at the load's commit
             // SSNcommit equals its rename-time SSNrename).
-            let actual = match self.tssbf.lookup(d.rec.addr, width) {
+            let actual = match self.tssbf.lookup(d.addr, width) {
                 TssbfLookup::Hit(e) => {
                     let dist = d.stores_before.saturating_sub(e.ssn.0);
                     if dist <= 63 {
-                        let shift = if e.covers(d.rec.addr, width) {
-                            d.rec.addr.wrapping_sub(e.store_addr()) as u8
+                        let shift = if e.covers(d.addr, width) {
+                            d.addr.wrapping_sub(e.store_addr()) as u8
                         } else {
                             0
                         };
@@ -1373,9 +1361,9 @@ impl<'p> Simulator<'p> {
             };
             let had_path = ls.pred.map(|p| p.path_sensitive).unwrap_or(false);
             self.predictor
-                .train_mispredict(d.rec.pc, &history, had_path, actual);
+                .train_mispredict(d.pc, &history, had_path, actual);
         } else if ls.pred.is_some() {
-            self.predictor.train_correct(d.rec.pc, &history);
+            self.predictor.train_correct(d.pc, &history);
         }
     }
 
@@ -1431,8 +1419,7 @@ impl<'p> Simulator<'p> {
                     }
                 }
                 self.srq.invalidate(e.ssn);
-                self.storesets
-                    .store_resolved(self.insts[e.inst].rec.pc, e.ssn);
+                self.storesets.store_resolved(self.insts[e.inst].pc, e.ssn);
             }
         }
         // Roll the rename SSN back to the squash point.
@@ -1661,13 +1648,13 @@ impl<'p> Simulator<'p> {
                         );
                         if oracle {
                             let d = &self.insts[inst_idx];
-                            if let Inst::Load { width, ext, .. } = d.rec.inst {
+                            if let Inst::Load { width, ext, .. } = d.inst {
                                 let stale = load_extend(
-                                    self.timing_mem.read(d.rec.addr, width.bytes()),
+                                    self.timing_mem.read(d.addr, width.bytes()),
                                     width,
                                     ext,
                                 );
-                                if stale == d.rec.load_value {
+                                if stale == d.load_value() {
                                     return true;
                                 }
                             }
@@ -1712,7 +1699,7 @@ impl<'p> Simulator<'p> {
         let e = self.rob.get_abs(pos).expect("issued entry resident");
         let inst_idx = e.inst;
         let class = e.class;
-        let alu = match self.insts[inst_idx].rec.inst {
+        let alu = match self.insts[inst_idx].inst {
             Inst::Alu { kind, .. } => Some(kind),
             _ => None,
         };
@@ -1724,7 +1711,7 @@ impl<'p> Simulator<'p> {
             (InstClass::Load, Some(mode)) => match mode {
                 LoadMode::Bypassed { .. } => (1, 0), // shift & mask uop
                 _ => {
-                    let addr = self.insts[inst_idx].rec.addr;
+                    let addr = self.insts[inst_idx].addr;
                     let lat = self.hierarchy.load_latency(addr);
                     self.stats.memory.ooo_dcache_reads += 1;
                     (1 + lat, 0)
@@ -1753,7 +1740,7 @@ impl<'p> Simulator<'p> {
             InstClass::Store => {
                 // Baseline store execution: address generation + data
                 // capture; the captured register pin is released.
-                let pc = self.insts[inst_idx].rec.pc;
+                let pc = self.insts[inst_idx].pc;
                 if let Some(info) = self.srq.get_mut(ssn) {
                     info.exec_cycle = complete;
                 }
@@ -1778,13 +1765,12 @@ impl<'p> Simulator<'p> {
             return; // value was computed at rename
         }
         let d = self.insts[e.inst];
-        let (width, ext) = match d.rec.inst {
+        let (width, ext) = match d.inst {
             Inst::Load { width, ext, .. } => (width, ext),
             _ => unreachable!("load entry"),
         };
 
-        let mut exec_value =
-            load_extend(self.timing_mem.read(d.rec.addr, width.bytes()), width, ext);
+        let mut exec_value = load_extend(self.timing_mem.read(d.addr, width.bytes()), width, ext);
         let mut ssn_nvul = self.ssn.commit();
         if !self.cfg.lsu.is_nosq() {
             if let Some(dep_ssn) = d.dep_ssn().map(Ssn) {
@@ -1797,7 +1783,7 @@ impl<'p> Simulator<'p> {
                         {
                             // Store-queue forwarding: correct by
                             // construction (address-checked).
-                            exec_value = d.rec.load_value;
+                            exec_value = d.load_value();
                             ssn_nvul = dep_ssn;
                             self.stats.memory.sq_forwards += 1;
                         }
@@ -1850,8 +1836,8 @@ impl<'p> Simulator<'p> {
             let d = &self.insts[inst_idx];
             (
                 d.class,
-                d.rec.inst.dest().is_some(),
-                matches!(d.rec.inst, Inst::Jump { .. }),
+                d.inst.dest().is_some(),
+                matches!(d.inst, Inst::Jump { .. }),
             )
         };
         let is_nosq = self.cfg.lsu.is_nosq();
@@ -1942,7 +1928,7 @@ impl<'p> Simulator<'p> {
             InstClass::Store => self.dispatch_store(&mut entry),
             InstClass::Load => self.dispatch_load(&mut entry, load_plan.take()),
             _ => {
-                if let Some(rd) = self.insts[inst_idx].rec.inst.dest() {
+                if let Some(rd) = self.insts[inst_idx].inst.dest() {
                     let node = self.regs.alloc();
                     entry.prev_node = self.regs.remap(rd, Some(node));
                     entry.map_reg = Some(rd);
@@ -1981,13 +1967,7 @@ impl<'p> Simulator<'p> {
             return [None, None];
         }
         let mut srcs = [None, None];
-        for (i, reg) in self.insts[inst_idx]
-            .rec
-            .inst
-            .sources()
-            .into_iter()
-            .enumerate()
-        {
+        for (i, reg) in self.insts[inst_idx].inst.sources().into_iter().enumerate() {
             if let Some(r) = reg {
                 srcs[i] = self.regs.mapping(r);
             }
@@ -1998,7 +1978,7 @@ impl<'p> Simulator<'p> {
     fn dispatch_store(&mut self, entry: &mut Entry) {
         let (data_reg, width, float32, pc, addr, store_data, stores_before) = {
             let d = &self.insts[entry.inst];
-            match d.rec.inst {
+            match d.inst {
                 Inst::Store {
                     data,
                     width,
@@ -2008,9 +1988,9 @@ impl<'p> Simulator<'p> {
                     data,
                     width,
                     float32,
-                    d.rec.pc,
-                    d.rec.addr,
-                    d.rec.store_data,
+                    d.pc,
+                    d.addr,
+                    d.store_data(),
                     d.stores_before,
                 ),
                 _ => unreachable!("store entry"),
@@ -2048,7 +2028,7 @@ impl<'p> Simulator<'p> {
     fn plan_nosq_load(&mut self, inst_idx: u32, path_snap: u64) -> LoadPlan {
         let (pc, dinst, dep_ssn) = {
             let d = &self.insts[inst_idx];
-            (d.rec.pc, d.rec.inst, d.dep_ssn())
+            (d.pc, d.inst, d.dep_ssn())
         };
         if self.cfg.lsu == LsuModel::NosqOracle {
             // Perfect SMB: bypass exactly the loads with an in-flight
@@ -2141,7 +2121,7 @@ impl<'p> Simulator<'p> {
 
     fn dispatch_load(&mut self, entry: &mut Entry, plan: Option<LoadPlan>) {
         let d = self.insts[entry.inst];
-        let rd = d.rec.inst.dest();
+        let rd = d.inst.dest();
         let mut ls = LoadState {
             mode: LoadMode::Normal,
             wait_exec: None,
@@ -2170,7 +2150,7 @@ impl<'p> Simulator<'p> {
                         }
                     }
                     Scheduling::StoreSets => {
-                        if let Some(ssn) = self.storesets.lookup_load(d.rec.pc) {
+                        if let Some(ssn) = self.storesets.lookup_load(d.pc) {
                             if ssn > self.ssn.commit() {
                                 ls.wait_exec = Some(ssn);
                             }
@@ -2200,7 +2180,7 @@ impl<'p> Simulator<'p> {
                         if !self.observers.is_empty() {
                             let ev = BypassEvent {
                                 cycle: self.clock,
-                                pc: d.rec.pc,
+                                pc: d.pc,
                                 partial,
                                 distance: ls.pred.map(|p| p.dist),
                             };
@@ -2210,9 +2190,9 @@ impl<'p> Simulator<'p> {
                         let info = info.expect("bypassing store in flight");
                         ls.ssn_nvul = info.ssn;
                         ls.exec_value = if ls.oracle {
-                            d.rec.load_value
+                            d.load_value()
                         } else {
-                            let (lw, lext) = match d.rec.inst {
+                            let (lw, lext) = match d.inst {
                                 Inst::Load { width, ext, .. } => (width, ext),
                                 _ => unreachable!("load"),
                             };
@@ -2306,7 +2286,7 @@ impl<'p> Simulator<'p> {
 
             let (pc, rinst, taken, next_pc) = {
                 let d = &self.insts[inst_idx];
-                (d.rec.pc, d.rec.inst, d.rec.taken, d.rec.next_pc)
+                (d.pc, d.inst, d.taken, d.next_pc())
             };
             match rinst {
                 Inst::Branch { .. } => {

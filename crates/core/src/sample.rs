@@ -291,43 +291,43 @@ impl WarmState {
     }
 
     fn observe(&mut self, d: &DynInst, mem: &mut Memory) {
-        let pc = d.rec.pc;
+        let pc = d.pc;
         match d.class {
             InstClass::Load => {
                 // Predict/train *before* any history update, matching
                 // the dispatch-time path snapshot a real load sees.
                 self.train_load(d);
-                self.hierarchy.load_latency(d.rec.addr);
+                self.hierarchy.load_latency(d.addr);
             }
             InstClass::Store => {
-                let width = d.rec.inst.mem_width().expect("store width").bytes();
-                mem.write(d.rec.addr, width, d.rec.store_mem_bits);
-                self.hierarchy.store_commit(d.rec.addr);
+                let width = d.inst.mem_width().expect("store width").bytes();
+                mem.write(d.addr, width, d.store_mem_bits());
+                self.hierarchy.store_commit(d.addr);
                 // Committed stores are 1-based in SSN space: the store
                 // after `stores_before` older ones is `stores_before+1`.
                 self.tssbf
-                    .record_store(d.rec.addr, width as u8, Ssn(d.stores_before + 1));
+                    .record_store(d.addr, width as u8, Ssn(d.stores_before + 1));
             }
             _ => {}
         }
-        match d.rec.inst {
+        match d.inst {
             Inst::Branch { .. } => {
-                self.bpred.update(pc, d.rec.taken);
-                self.path.push_branch(d.rec.taken);
-                if d.rec.taken {
-                    self.btb.update(pc, d.rec.next_pc);
+                self.bpred.update(pc, d.taken);
+                self.path.push_branch(d.taken);
+                if d.taken {
+                    self.btb.update(pc, d.next_pc());
                 }
             }
             Inst::Call { .. } => {
                 self.ras.push(pc + nosq_isa::INST_BYTES);
                 self.path.push_call(pc);
-                self.btb.update(pc, d.rec.next_pc);
+                self.btb.update(pc, d.next_pc());
             }
             Inst::Ret { .. } => {
                 self.ras.pop();
             }
             Inst::Jump { .. } => {
-                self.btb.update(pc, d.rec.next_pc);
+                self.btb.update(pc, d.next_pc());
             }
             _ => {}
         }
@@ -339,7 +339,7 @@ impl WarmState {
     /// "actual" a mispredicted load would learn; a load whose producer
     /// is out of range (or absent) verifies clean through the cache.
     fn train_load(&mut self, d: &DynInst) {
-        let pred = self.predictor.predict(d.rec.pc, &self.path);
+        let pred = self.predictor.predict(d.pc, &self.path);
         let truth = d.mem_dep.and_then(|dep| {
             (dep.store_distance <= 63).then(|| {
                 let shift = if dep.coverage == Coverage::Full {
@@ -352,17 +352,17 @@ impl WarmState {
         });
         match (pred, truth) {
             (Some(p), Some(t)) if (p.dist, p.shift) == t => {
-                self.predictor.train_correct(d.rec.pc, &self.path);
+                self.predictor.train_correct(d.pc, &self.path);
             }
             (pred, Some(t)) => {
                 let had_path = pred.map(|p| p.path_sensitive).unwrap_or(false);
                 self.predictor
-                    .train_mispredict(d.rec.pc, &self.path, had_path, Some(t));
+                    .train_mispredict(d.pc, &self.path, had_path, Some(t));
             }
             (Some(_), None) => {
                 // Predicted store is long committed: the pipeline falls
                 // back to a normal cache access and verifies clean.
-                self.predictor.train_correct(d.rec.pc, &self.path);
+                self.predictor.train_correct(d.pc, &self.path);
             }
             (None, None) => {}
         }

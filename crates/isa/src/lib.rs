@@ -21,7 +21,8 @@
 //! * [`program`] — [`Program`] and the [`Assembler`] used to build workloads,
 //! * [`exec`] — the architectural executor ([`ArchState`]) that runs a
 //!   program and yields one [`ExecRecord`] per dynamic instruction. The
-//!   timing models are *functional-first*: they replay these records.
+//!   timing models are *functional-first*: they replay these records,
+//!   which `nosq-trace` packs into its compact `DynInst`.
 //!
 //! ## Example
 //!

@@ -60,7 +60,8 @@ pub struct RunOptions {
     /// the solo path — fusing changes wall-clock and memory locality,
     /// never results. Fused rows always buffer the recorded trace
     /// (replay is what makes the fusion possible), so very large
-    /// per-job budgets cost 136 B per instruction per worker.
+    /// per-job budgets cost `size_of::<DynInst>()` bytes per
+    /// instruction per worker.
     pub fused: bool,
 }
 
@@ -229,8 +230,9 @@ impl JobTiming {
 }
 
 /// Largest per-job budget worth buffering for replay: beyond this the
-/// recorded trace's memory cost (136 B per instruction, per worker)
-/// outweighs re-running the streaming tracer per configuration.
+/// recorded trace's memory cost (`size_of::<DynInst>()` bytes per
+/// instruction, per worker; about 320 MB at this cap) outweighs
+/// re-running the streaming tracer per configuration.
 const REPLAY_BUDGET_CAP: u64 = 4_000_000;
 
 /// Runs one grid job as an incremental session: the worker's cached

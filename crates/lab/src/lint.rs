@@ -12,8 +12,8 @@
 //! * `SystemTime` / `Instant` — wall-clock reads belong only in the
 //!   explicitly nondeterministic timing artifacts;
 //! * `std::env` — environment reads are hidden inputs; only the
-//!   documented knobs (`NOSQ_ARTIFACT_DIR`, `NOSQ_DYN_INSTS`,
-//!   `NOSQ_DEBUG_MISPREDICTS`) and CLI argument parsing are exempt;
+//!   documented knobs (`NOSQ_ARTIFACT_DIR`, `NOSQ_DYN_INSTS`) and CLI
+//!   argument parsing are exempt;
 //! * `std::sync::atomic` / `std::thread` — concurrency primitives used
 //!   directly bypass the `nosq_check::sync` facade, so `nosq check`
 //!   cannot model-check them; only the facade module and the checker's

@@ -83,7 +83,7 @@ mod tests {
                 InstClass::Load => {
                     stats.loads += 1;
                     if let Some(dep) = d.mem_dep {
-                        if dep.inst_distance < window {
+                        if u64::from(dep.inst_distance) < window {
                             stats.comm_loads += 1;
                             if d.is_partial_word_comm() {
                                 stats.partial_comm += 1;

@@ -242,30 +242,30 @@ impl DepGraphBuilder {
         self.insts += 1;
         match d.class {
             InstClass::Store => {
-                let width = d.rec.inst.mem_width().expect("store has width").bytes();
-                let float32 = matches!(d.rec.inst, nosq_isa::Inst::Store { float32: true, .. });
+                let width = d.inst.mem_width().expect("store has width").bytes();
+                let float32 = matches!(d.inst, nosq_isa::Inst::Store { float32: true, .. });
                 self.stores.push(StoreNode {
                     seq: d.seq,
                     ssn: d.stores_before + 1,
-                    pc: d.rec.pc,
-                    addr: d.rec.addr,
+                    pc: d.pc,
+                    addr: d.addr,
                     width: width as u8,
                 });
                 self.map.record_store(
-                    d.rec.addr,
+                    d.addr,
                     width,
                     ByteWriter {
                         store_seq: d.seq,
                         store_index: d.stores_before,
-                        store_addr: d.rec.addr,
+                        store_addr: d.addr,
                         store_width: width as u8,
                         store_float32: float32,
                     },
                 );
             }
             InstClass::Load => {
-                let width = d.rec.inst.mem_width().expect("load has width").bytes();
-                self.map.scan_bytes(d.rec.addr, width, &mut self.scratch);
+                let width = d.inst.mem_width().expect("load has width").bytes();
+                self.map.scan_bytes(d.addr, width, &mut self.scratch);
                 let mut byte_ssns = [0u64; 8];
                 let mut youngest: Option<ByteWriter> = None;
                 let mut all_same = true;
@@ -294,7 +294,7 @@ impl DepGraphBuilder {
                             y.store_index + 1,
                             d.stores_before - (y.store_index + 1),
                             d.seq - y.store_seq,
-                            d.rec.addr.wrapping_sub(y.store_addr) as u8,
+                            d.addr.wrapping_sub(y.store_addr) as u8,
                             y.store_width < 8 || width < 8,
                         ),
                         None => (0, 0, 0, 0, false),
@@ -307,16 +307,16 @@ impl DepGraphBuilder {
                 // The tracer's summarizing scan and the per-byte oracle
                 // pass must agree on the youngest producer.
                 if let Some(dep) = d.mem_dep {
-                    debug_assert_eq!(dep.store_distance, store_distance);
-                    debug_assert_eq!(dep.inst_distance, inst_distance);
+                    debug_assert_eq!(dep.store_distance, crate::MemDep::saturate(store_distance));
+                    debug_assert_eq!(dep.inst_distance, crate::MemDep::saturate(inst_distance));
                     debug_assert_eq!(dep.shift, shift);
                 }
                 self.loads.push(LoadDep {
                     seq: d.seq,
-                    pc: d.rec.pc,
-                    addr: d.rec.addr,
+                    pc: d.pc,
+                    addr: d.addr,
                     width: width as u8,
-                    value: d.rec.load_value,
+                    value: d.load_value(),
                     stores_before: d.stores_before,
                     byte_ssns,
                     youngest_ssn,
@@ -518,8 +518,8 @@ mod tests {
             match d.mem_dep {
                 Some(dep) => {
                     assert_eq!(l.youngest_ssn, d.dep_ssn().unwrap());
-                    assert_eq!(l.store_distance, dep.store_distance);
-                    assert_eq!(l.inst_distance, dep.inst_distance);
+                    assert_eq!(l.store_distance, u64::from(dep.store_distance));
+                    assert_eq!(l.inst_distance, u64::from(dep.inst_distance));
                     assert_eq!(l.coverage, dep.coverage);
                     assert_eq!(l.partial_word, d.is_partial_word_comm());
                 }

@@ -239,9 +239,9 @@ mod tests {
         let (mut taken, mut total) = (0u64, 0u64);
         for d in Tracer::new(&prog, 1_000_000) {
             // Count only the data-driven diamond branch (Ne condition).
-            if let nosq_isa::Inst::Branch { cond: Cond::Ne, .. } = d.rec.inst {
+            if let nosq_isa::Inst::Branch { cond: Cond::Ne, .. } = d.inst {
                 total += 1;
-                if d.rec.taken {
+                if d.taken {
                     taken += 1;
                 }
             }

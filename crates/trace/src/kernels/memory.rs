@@ -153,7 +153,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for d in Tracer::new(&prog, 100_000) {
             if d.class == InstClass::Load {
-                seen.insert(d.rec.addr);
+                seen.insert(d.addr);
             }
         }
         assert_eq!(seen.len(), 16, "walk must cover the whole ring");

@@ -304,6 +304,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, [0u64, 1u64].into_iter().collect());
+        assert_eq!(seen, [0u32, 1u32].into_iter().collect());
     }
 }

@@ -200,16 +200,9 @@ impl Iterator for Tracer<'_> {
                 return None;
             }
         };
-        let class = rec.inst.class();
-        let mut dyn_inst = DynInst {
-            seq: self.seq,
-            rec,
-            class,
-            stores_before: self.stores,
-            mem_dep: None,
-        };
+        let mut dyn_inst = DynInst::pack(self.seq, self.stores, &rec);
 
-        match class {
+        match dyn_inst.class {
             InstClass::Load => {
                 let width = rec.inst.mem_width().expect("load has width").bytes();
                 let scan = self.last_writer.get().scan(rec.addr, width);
@@ -220,10 +213,9 @@ impl Iterator for Tracer<'_> {
                         Coverage::Partial
                     };
                     dyn_inst.mem_dep = Some(MemDep {
-                        store_seq: dep.store_seq,
                         // stores (count renamed) minus 1-based dep SSN:
-                        store_distance: self.stores - (dep.store_index + 1),
-                        inst_distance: self.seq - dep.store_seq,
+                        store_distance: MemDep::saturate(self.stores - (dep.store_index + 1)),
+                        inst_distance: MemDep::saturate(self.seq - dep.store_seq),
                         coverage,
                         shift: rec.addr.wrapping_sub(dep.store_addr) as u8,
                         store_width: dep.store_width,
@@ -314,7 +306,7 @@ mod tests {
         let dep = load.mem_dep.unwrap();
         assert_eq!(dep.coverage, Coverage::Full);
         assert_eq!(dep.shift, 6);
-        assert_eq!(load.rec.load_value, 0x1122);
+        assert_eq!(load.load_value(), 0x1122);
     }
 
     #[test]
@@ -328,7 +320,7 @@ mod tests {
         let t = trace(asm, 100);
         let load = t.iter().find(|d| d.class == InstClass::Load).unwrap();
         assert!(load.mem_dep.is_none());
-        assert_eq!(load.rec.load_value, 42);
+        assert_eq!(load.load_value(), 42);
     }
 
     #[test]
@@ -394,10 +386,7 @@ mod tests {
             assert_eq!(owned.len(), reused.len());
             for (a, b) in owned.iter().zip(&reused) {
                 assert_eq!(a.seq, b.seq);
-                assert_eq!(
-                    a.mem_dep.map(|d| (d.store_seq, d.coverage, d.shift)),
-                    b.mem_dep.map(|d| (d.store_seq, d.coverage, d.shift)),
-                );
+                assert_eq!(a.mem_dep, b.mem_dep);
             }
         }
     }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use nosq_isa::{ExecRecord, Extension, Inst, InstClass, MemWidth, Reg};
+use nosq_isa::{Extension, Inst, InstClass, MemWidth, Reg};
 use nosq_trace::{Coverage, DepGraphBuilder, DynInst};
 
 /// The reference oracle: one `(ssn, seq, addr, width)` entry per byte
@@ -149,25 +149,20 @@ fn dyn_inst(seq: u64, stores_before: u64, op: &Op) -> DynInst {
     };
     DynInst {
         seq,
-        rec: ExecRecord {
-            // Small static PC alphabet so store-set clustering has
-            // something to merge.
-            pc: 0x400 + (seq % 7) * 4,
-            inst,
-            addr: op.addr,
-            load_value: seq ^ 0xa5a5,
-            store_data: 0,
-            store_mem_bits: 0,
-            taken: false,
-            next_pc: 0,
-        },
+        // Small static PC alphabet so store-set clustering has
+        // something to merge.
+        pc: 0x400 + (seq % 7) * 4,
+        inst,
+        addr: op.addr,
+        value: seq ^ 0xa5a5,
+        stores_before,
+        mem_dep: None,
+        taken: false,
         class: if op.store {
             InstClass::Store
         } else {
             InstClass::Load
         },
-        stores_before,
-        mem_dep: None,
     }
 }
 
