@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use nosq_bench::{dyn_insts, workload};
 use nosq_core::ser::{json_f64, JsonArray, JsonObject};
-use nosq_core::{sampled_replay_with_arena, LaneSet, SamplePlan, SimConfig};
+use nosq_core::{sampled_replay_with_arena, SamplePlan, SimConfig};
 use nosq_trace::{Profile, TraceBuffer, Tracer};
 
 /// The representative profile set: both SPEC suites and MediaBench.
@@ -34,18 +34,6 @@ fn configs(n: u64) -> Vec<(&'static str, SimConfig)> {
 struct Point {
     profile: &'static str,
     config: &'static str,
-    insts: u64,
-    cycles: u64,
-    wall_secs: f64,
-    mips: f64,
-}
-
-/// One profile's fused lockstep sweep: every configuration in a single
-/// shared trace pass. `insts` sums over all lanes, so `mips` is the
-/// aggregate simulation rate of the fused pass — directly comparable
-/// to summing the profile's solo points.
-struct FusedRow {
-    profile: &'static str,
     insts: u64,
     cycles: u64,
     wall_secs: f64,
@@ -72,7 +60,6 @@ fn main() {
     let n = dyn_insts();
     let mut points = Vec::new();
     let mut tracer_points = Vec::new();
-    let mut fused_rows = Vec::new();
     let mut sampled_rows = Vec::new();
     let mut arena = nosq_core::SimArena::new();
 
@@ -106,7 +93,7 @@ fn main() {
         // plus buffering, amortized across the sweep), arena recycled
         // across runs exactly like a lab worker.
         let trace = TraceBuffer::record_with_arena(&program, n, &mut arena.trace);
-        let mut solo_reports = Vec::new();
+        let mut reports = Vec::new();
         for (cname, cfg) in configs(n) {
             let started = Instant::now();
             let report =
@@ -130,47 +117,12 @@ fn main() {
                 wall_secs: secs,
                 mips,
             });
-            solo_reports.push(report);
+            reports.push(report);
         }
-
-        // Fused lockstep sweep: all five configurations over one
-        // shared trace pass. Reports must match the solo runs byte
-        // for byte — a fused number that came from different results
-        // would be meaningless.
-        let cfgs: Vec<SimConfig> = configs(n).into_iter().map(|(_, c)| c).collect();
-        let started = Instant::now();
-        let lane_reports =
-            LaneSet::fused_replay_with_arena(&program, &cfgs, &trace, &mut arena).run();
-        let secs = started.elapsed().as_secs_f64();
-        for (lane, report) in lane_reports.iter().enumerate() {
-            assert_eq!(
-                *report, solo_reports[lane],
-                "fused lane {lane} diverged from its solo run"
-            );
-        }
-        let insts: u64 = lane_reports.iter().map(|r| r.insts).sum();
-        let cycles: u64 = lane_reports.iter().map(|r| r.cycles).sum();
-        let mips = insts as f64 / secs / 1.0e6;
-        println!(
-            "{:<9} {:<20} {:>10} {:>10} {:>9.1} {:>8.2}",
-            name,
-            "fused-x5",
-            insts,
-            cycles,
-            secs * 1e3,
-            mips
-        );
-        fused_rows.push(FusedRow {
-            profile: name,
-            insts,
-            cycles,
-            wall_secs: secs,
-            mips,
-        });
 
         // Sampled estimate of the headline `nosq` configuration:
         // fast-forward 10% as warm-up, then 20 windows of 1k
-        // instructions. Error is reported against the full solo run
+        // instructions. Error is reported against the full run
         // measured above.
         let plan = SamplePlan {
             warmup: n / 10,
@@ -181,7 +133,7 @@ fn main() {
         let est =
             sampled_replay_with_arena(&program, SimConfig::nosq(n), &trace, &plan, &mut arena);
         let secs = started.elapsed().as_secs_f64();
-        let full = &solo_reports[3]; // configs(n)[3] is `nosq`
+        let full = &reports[3]; // configs(n)[3] is `nosq`
         let est_ipc = est.ipc();
         let full_ipc = full.insts as f64 / full.cycles as f64;
         let effective_mips = est.total_insts as f64 / secs / 1.0e6;
@@ -211,19 +163,16 @@ fn main() {
         });
     }
 
-    let json = throughput_json(n, &points, &tracer_points, &fused_rows, &sampled_rows);
+    let json = throughput_json(n, &points, &tracer_points, &sampled_rows);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     std::fs::write(path, &json).expect("write BENCH_throughput.json");
     println!("(wrote {path})");
 
     let agg_insts: u64 = points.iter().map(|p| p.insts).sum();
     let agg_secs: f64 = points.iter().map(|p| p.wall_secs).sum();
-    let fused_insts: u64 = fused_rows.iter().map(|f| f.insts).sum();
-    let fused_secs: f64 = fused_rows.iter().map(|f| f.wall_secs).sum();
     println!(
-        "aggregate pipeline throughput: {:.2} MIPS solo, {:.2} MIPS fused, over {} points",
+        "aggregate pipeline throughput: {:.2} MIPS over {} points",
         agg_insts as f64 / agg_secs / 1.0e6,
-        fused_insts as f64 / fused_secs / 1.0e6,
         points.len()
     );
 }
@@ -232,7 +181,6 @@ fn throughput_json(
     n: u64,
     points: &[Point],
     tracer: &[(&str, u64, f64, f64)],
-    fused: &[FusedRow],
     sampled: &[SampledRow],
 ) -> String {
     let mut obj = JsonObject::new();
@@ -262,18 +210,6 @@ fn throughput_json(
     }
     obj.field_raw("pipeline", &arr.finish());
 
-    let mut fu = JsonArray::new();
-    for f in fused {
-        let mut o = JsonObject::new();
-        o.field_str("profile", f.profile)
-            .field_u64("insts", f.insts)
-            .field_u64("cycles", f.cycles)
-            .field_raw("wall_secs", &json_f64(f.wall_secs))
-            .field_raw("mips", &json_f64(f.mips));
-        fu.push_raw(&o.finish());
-    }
-    obj.field_raw("fused", &fu.finish());
-
     let mut sa = JsonArray::new();
     for s in sampled {
         let mut o = JsonObject::new();
@@ -295,8 +231,6 @@ fn throughput_json(
     let agg_secs: f64 = points.iter().map(|p| p.wall_secs).sum();
     let tr_insts: u64 = tracer.iter().map(|t| t.1).sum();
     let tr_secs: f64 = tracer.iter().map(|t| t.2).sum();
-    let fu_insts: u64 = fused.iter().map(|f| f.insts).sum();
-    let fu_secs: f64 = fused.iter().map(|f| f.wall_secs).sum();
     obj.field_raw(
         "aggregate_pipeline_mips",
         &json_f64(agg_insts as f64 / agg_secs / 1.0e6),
@@ -304,10 +238,6 @@ fn throughput_json(
     obj.field_raw(
         "aggregate_tracer_mips",
         &json_f64(tr_insts as f64 / tr_secs / 1.0e6),
-    );
-    obj.field_raw(
-        "aggregate_fused_mips",
-        &json_f64(fu_insts as f64 / fu_secs / 1.0e6),
     );
     obj.finish()
 }

@@ -47,12 +47,6 @@ pub struct SimArena {
     /// via [`Tracer::with_arena`](nosq_trace::Tracer::with_arena).
     pub trace: LastWriterMap,
     pub(crate) core: CoreBuffers,
-    /// Per-lane buffer partitions for fused replay
-    /// ([`LaneSet`](crate::LaneSet)): lane `i` of a fused run takes
-    /// `lanes[i]`, so N lockstep simulators recycle N disjoint buffer
-    /// sets from one arena. Grown on demand; solo sessions never touch
-    /// it.
-    pub(crate) lanes: Vec<CoreBuffers>,
 }
 
 impl SimArena {

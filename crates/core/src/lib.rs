@@ -117,7 +117,7 @@ pub use observer::{
     BypassEvent, CommitEvent, CommittedLoadKind, CycleEvent, LoadCommitEvent, ReexecEvent,
     SimObserver, SquashCause, SquashEvent,
 };
-pub use pipeline::{simulate, CkptError, LaneSet, SimCheckpoint, Simulator, StopCondition};
+pub use pipeline::{simulate, CkptError, SimCheckpoint, Simulator, StopCondition};
 pub use predictor::{BypassingPredictor, PathHistory, Prediction, PredictorConfig};
 #[allow(deprecated)]
 pub use report::SimResult;

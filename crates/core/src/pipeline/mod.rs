@@ -27,20 +27,18 @@
 //! report byte, only where the memory comes from.
 
 mod ckpt;
-mod lanes;
 pub(crate) mod nodes;
 
 #[cfg(test)]
 mod tests;
 
 pub use ckpt::CkptError;
-pub use lanes::LaneSet;
 
 use nosq_isa::exec::load_extend;
 use nosq_isa::{Inst, InstClass, MemWidth, Memory, Program, Reg};
 use nosq_trace::{Coverage, DynInst, TraceBuffer, Tracer};
 use nosq_uarch::branch::{Btb, HybridPredictor, ReturnAddressStack};
-use nosq_uarch::{MemoryHierarchy, Ssn, SsnCounters, StoreSets, Tlb, Tssbf, TssbfLookup};
+use nosq_uarch::{MemoryHierarchy, Ssn, SsnCounters, StoreSets, Tssbf, TssbfLookup};
 
 use crate::arena::{CoreBuffers, InstPool, Ring, SimArena};
 use crate::bypass::{bypass_value, needs_shift_mask};
@@ -51,6 +49,7 @@ use crate::observer::{
 };
 use crate::predictor::{BypassingPredictor, PathHistory, Prediction};
 use crate::report::SimReport;
+use crate::sample::WarmState;
 use crate::srq::{StoreInfo, StoreRegisterQueue};
 
 use nodes::{NodeId, RegState};
@@ -472,11 +471,6 @@ pub struct Simulator<'p> {
     stats: SimReport,
     observers: Vec<Box<dyn SimObserver + 'p>>,
     done: bool,
-    /// Batch mode ([`LaneSet`](crate::LaneSet) / sampling windows):
-    /// permits `run_until` to jump over provably idle cycle spans. Off
-    /// for interactive sessions, whose per-cycle observer and predicate
-    /// contracts require visiting every cycle.
-    batch: bool,
     /// Where to return the recyclable buffers at `finish`.
     arena_core: Option<&'p mut CoreBuffers>,
 }
@@ -502,7 +496,7 @@ impl<'p> Simulator<'p> {
         cfg: SimConfig,
         arena: &'p mut SimArena,
     ) -> Simulator<'p> {
-        let SimArena { trace, core, .. } = arena;
+        let SimArena { trace, core } = arena;
         let stream = InstSource::Live(Box::new(Tracer::with_arena(program, cfg.max_insts, trace)));
         Simulator::build(program, cfg, stream, Some(core))
     }
@@ -582,7 +576,7 @@ impl<'p> Simulator<'p> {
         offset: usize,
         len: usize,
         mem: Memory,
-        warm: &crate::sample::WarmState,
+        warm: &WarmState,
         core: Option<&'p mut CoreBuffers>,
     ) -> Simulator<'p> {
         let insts = trace.insts();
@@ -613,7 +607,6 @@ impl<'p> Simulator<'p> {
         sim.path = warm.path;
         sim.predictor = warm.predictor.clone();
         sim.tssbf = warm.tssbf.clone();
-        sim.batch = true;
         sim
     }
 
@@ -645,6 +638,15 @@ impl<'p> Simulator<'p> {
             srq,
         } = bufs;
         rob.reserve(m.rob_size);
+        let WarmState {
+            hierarchy,
+            bpred,
+            btb,
+            ras,
+            path,
+            predictor,
+            tssbf,
+        } = WarmState::new(&cfg);
         let insts = match &stream {
             InstSource::Live(_) => InstSlab::Pool(insts),
             InstSource::Replay { insts: trace, .. } => InstSlab::Trace {
@@ -674,24 +676,18 @@ impl<'p> Simulator<'p> {
             scratch,
             regs: RegState::new(m.phys_regs),
             timing_mem: program.initial_memory(),
-            hierarchy: MemoryHierarchy::new(
-                m.l1d,
-                m.l2,
-                Tlb::new(m.dtlb_entries, m.dtlb_ways),
-                m.mem_latency,
-                m.tlb_miss_penalty,
-            ),
-            bpred: HybridPredictor::new(m.bpred),
-            btb: Btb::new(m.btb_entries, m.btb_ways),
-            ras: ReturnAddressStack::new(m.ras_depth),
-            path: PathHistory::new(),
+            hierarchy,
+            bpred,
+            btb,
+            ras,
+            path,
             fetch_stall_until: 0,
             fetch_stalled_on: None,
             halt_fetched: false,
             ssn: SsnCounters::new(m.ssn_bits),
             srq: StoreRegisterQueue::with_storage(srq, 8192),
-            tssbf: Tssbf::new(128, 4),
-            predictor: BypassingPredictor::new(cfg.predictor),
+            tssbf,
+            predictor,
             storesets: StoreSets::new(4096),
             draining_for_wrap: false,
             fault_bypass_seen: 0,
@@ -699,7 +695,6 @@ impl<'p> Simulator<'p> {
             observers: Vec::new(),
             cfg,
             done: false,
-            batch: false,
             arena_core,
         }
     }
@@ -767,14 +762,6 @@ impl<'p> Simulator<'p> {
     /// Steps until `stop` is satisfied or the program completes,
     /// whichever comes first. Returns `true` if the program completed.
     pub fn run_until(&mut self, mut stop: StopCondition) -> bool {
-        // Idle-cycle skipping is sound only when nobody can observe the
-        // skipped cycles: batch sessions without observers, advancing
-        // toward a completion or committed-instruction target (idle
-        // cycles commit nothing, so an `Insts` target cannot be
-        // overshot; `Cycles` and `Predicate` inspect every cycle).
-        let may_skip = self.batch
-            && self.observers.is_empty()
-            && matches!(stop, StopCondition::Done | StopCondition::Insts(_));
         loop {
             let met = match &mut stop {
                 StopCondition::Done => false, // only completion stops it
@@ -785,60 +772,8 @@ impl<'p> Simulator<'p> {
             if met || self.done {
                 return self.done;
             }
-            if may_skip {
-                if let Some(target) = self.idle_skip_target() {
-                    self.clock = target;
-                }
-            }
             self.step();
         }
-    }
-
-    /// If every pipeline stage is provably a no-op until some known
-    /// future cycle, returns the last idle cycle (jump the clock there
-    /// and step once to land exactly on the first non-idle cycle).
-    ///
-    /// The conditions mirror the stages back to front. Nothing can
-    /// *issue* (the ready list is empty; blocked loads and wrap drains
-    /// keep their candidates in it, so both force a `None` here), hence
-    /// nothing can *commit* before the ROB head's known completion,
-    /// *dispatch* before the fetch front matures or a backend exit
-    /// frees ROB occupancy — dispatch-stall counters only tick once the
-    /// front is mature, and a mature front's event is already in the
-    /// past, vetoing the skip — and *fetch* before `fetch_stall_until`
-    /// (irrelevant while fetch is blocked on a mispredicted branch, a
-    /// fetched halt, or an exhausted stream). Every event that could
-    /// end the idle span has a known cycle; the earliest one bounds the
-    /// jump, so the skipped cycles are exactly the ones a stepped run
-    /// would have executed as no-ops. Deadlocks still hit the cycle cap:
-    /// with no future event scheduled this returns `None` and stepping
-    /// proceeds to the cap as before.
-    fn idle_skip_target(&self) -> Option<u64> {
-        if !self.iq_ready.is_empty() || self.draining_for_wrap || self.ssn.wrap_pending() {
-            return None;
-        }
-        let mut next = u64::MAX;
-        if let Some(&t) = self.backend_exits.front() {
-            next = next.min(t);
-        }
-        if let Some(e) = self.rob.front() {
-            if e.complete_cycle != u64::MAX {
-                next = next.min(e.complete_cycle);
-            }
-        }
-        if let Some(w) = self.wheel.peek() {
-            next = next.min(w.ready);
-        }
-        if let Some(f) = self.fetch_buffer.front() {
-            next = next.min(f.fetch_cycle + self.cfg.machine.front_depth);
-        }
-        let fetch_blocked = self.halt_fetched
-            || self.fetch_stalled_on.is_some()
-            || (self.stream_done && self.pending.is_empty());
-        if !fetch_blocked {
-            next = next.min(self.fetch_stall_until);
-        }
-        (next != u64::MAX && next > self.clock + 1).then(|| next - 1)
     }
 
     /// Snapshots the session's complete state into a [`SimCheckpoint`].

@@ -260,9 +260,9 @@ pub(crate) struct WarmState {
 }
 
 impl WarmState {
-    /// Cold state sized exactly as [`Simulator`]'s own construction
-    /// sizes it, so injection swaps equals for equals.
-    fn new(cfg: &SimConfig) -> WarmState {
+    /// Cold state for `cfg`. [`Simulator`]'s own construction starts
+    /// from this same state, so injection swaps equals for equals.
+    pub(crate) fn new(cfg: &SimConfig) -> WarmState {
         let m = &cfg.machine;
         WarmState {
             hierarchy: MemoryHierarchy::new(

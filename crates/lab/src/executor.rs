@@ -33,8 +33,7 @@
 use std::time::{Duration, Instant};
 
 use nosq_check::sync::StdSync;
-use nosq_core::observer::{CycleEvent, SimObserver};
-use nosq_core::{LaneSet, SimArena, SimReport, Simulator, StopCondition};
+use nosq_core::{SimArena, SimCheckpoint, SimReport, Simulator, StopCondition};
 use nosq_isa::Program;
 use nosq_trace::{synthesize, TraceBuffer};
 
@@ -42,38 +41,13 @@ use crate::campaign::Campaign;
 use crate::grid::{run_grid, ProgressCounters};
 
 /// Executor knobs; [`RunOptions::default`] is right for most callers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Worker threads; `0` means one per available CPU (capped by the
     /// job count).
     pub threads: usize,
-    /// Session chunk size in cycles: each job advances through repeated
-    /// `run_until(Cycles(+chunk))` calls, the boundary at which live
-    /// progress is published.
-    pub chunk_cycles: u64,
     /// Print a live progress line to stderr while the grid runs.
     pub progress: bool,
-    /// Fuse each profile's configuration block into one lockstep
-    /// [`LaneSet`] replay: a worker claims a whole profile row, records
-    /// (or reuses) its trace once, and drives every configuration over
-    /// a shared trace window in one pass. Reports are bit-identical to
-    /// the solo path — fusing changes wall-clock and memory locality,
-    /// never results. Fused rows always buffer the recorded trace
-    /// (replay is what makes the fusion possible), so very large
-    /// per-job budgets cost `size_of::<DynInst>()` bytes per
-    /// instruction per worker.
-    pub fused: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> RunOptions {
-        RunOptions {
-            threads: 0,
-            chunk_cycles: 8_192,
-            progress: false,
-            fused: false,
-        }
-    }
 }
 
 /// Resolves a requested thread count against the machine and job count.
@@ -144,24 +118,6 @@ where
         f,
         poll.as_mut().map(|p| p as &mut dyn FnMut()),
     )
-}
-
-/// A [`SimObserver`] that publishes committed-instruction progress into
-/// the shared campaign counters, batched per session chunk so the hot
-/// cycle loop never touches shared state.
-struct InstProgress<'a> {
-    shared: &'a ProgressCounters<StdSync>,
-    published: u64,
-    batch_cycles: u64,
-}
-
-impl SimObserver for InstProgress<'_> {
-    fn on_cycle(&mut self, ev: &CycleEvent) {
-        if ev.cycle.is_multiple_of(self.batch_cycles) && ev.insts > self.published {
-            self.shared.add_insts(ev.insts - self.published);
-            self.published = ev.insts;
-        }
-    }
 }
 
 /// Per-worker persistent simulation state: the recyclable arena and the
@@ -235,34 +191,53 @@ impl JobTiming {
 /// re-running the streaming tracer per configuration.
 const REPLAY_BUDGET_CAP: u64 = 4_000_000;
 
-/// Runs one grid job as an incremental session: the worker's cached
-/// trace (re-recorded on profile change) replayed with arena-recycled
-/// buffers, advanced through chunked `run_until(Cycles(..))` calls with
-/// a progress observer attached. Chunked, replayed, arena-backed
-/// execution is bit-identical to a one-shot `simulate()` (the session
-/// API's core guarantee), so all of this changes wall-clock and
-/// observability, never results.
-#[allow(clippy::too_many_arguments)]
+/// Session chunk size in cycles for jobs that take no snapshots: the
+/// boundary at which live progress is published.
+const CHUNK_CYCLES: u64 = 8_192;
+
+/// The checkpoint duty of one [`run_job`]: hand `sink` a snapshot every
+/// `every` committed instructions (`0` = never), and continue from
+/// `resume` instead of starting the job from scratch.
+struct JobCkpt<'a> {
+    every: u64,
+    resume: Option<SimCheckpoint>,
+    sink: &'a mut dyn FnMut(&SimCheckpoint),
+}
+
+/// Runs grid job `i` as an incremental session on `worker`: the
+/// worker's cached trace (re-recorded on profile change) replayed with
+/// arena-recycled buffers, or a live trace when buffering would not
+/// pay, advanced in chunks after each of which progress is published.
+/// Chunked, replayed, resumed and arena-backed execution is
+/// bit-identical to a one-shot `simulate()` (the session API's core
+/// guarantee), so none of this changes results, only wall-clock.
 fn run_job(
     worker: &mut WorkerContext,
-    program: &Program,
-    trace_key: (&'static str, u64),
-    profile_idx: usize,
-    config_idx: usize,
-    n_configs: usize,
-    cfg: nosq_core::SimConfig,
-    opts: &RunOptions,
+    campaign: &Campaign,
+    programs: &[Program],
+    i: usize,
     progress: &ProgressCounters<StdSync>,
+    ckpt: Option<JobCkpt<'_>>,
 ) -> (SimReport, JobTiming) {
-    // Buffer the trace only when it can actually be replayed (several
-    // configurations per profile, or a long-lived worker context that
-    // may see the same workload again) and it stays reasonably sized;
-    // otherwise trace live and streaming, with no per-job allocation
-    // spike.
-    let replayable = n_configs > 1 && cfg.max_insts <= REPLAY_BUDGET_CAP;
+    let n_configs = campaign.configs.len();
+    let (p, c) = (i / n_configs, i % n_configs);
+    let program = &programs[p];
+    let cfg = campaign.configs[c].config.clone();
+    let mut no_sink = |_: &SimCheckpoint| {};
+    let (every, resume, sink): (_, _, &mut dyn FnMut(&SimCheckpoint)) = match ckpt {
+        Some(k) => (k.every, k.resume, k.sink),
+        None => (0, None, &mut no_sink),
+    };
+    // Snapshots need a replay session, so a checkpointing or resumed
+    // job always buffers its trace. Otherwise buffer only when the
+    // trace will be replayed (several configurations per profile) and
+    // stays reasonably sized; else trace live and streaming, with no
+    // per-job allocation spike.
+    let replay =
+        every > 0 || resume.is_some() || (n_configs > 1 && cfg.max_insts <= REPLAY_BUDGET_CAP);
     let mut trace_secs = 0.0;
-    if replayable {
-        let key = (trace_key.0, trace_key.1, cfg.max_insts);
+    if replay {
+        let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
         if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
             worker.trace = None; // never hold two traces at once
             let started = Instant::now();
@@ -275,89 +250,42 @@ fn run_job(
         worker.trace = None; // release any stale buffer
     }
 
-    let mut obs = InstProgress {
-        shared: progress,
-        published: 0,
-        batch_cycles: opts.chunk_cycles.max(1),
-    };
     let started = Instant::now();
     let mut sim = match &worker.trace {
-        Some((_, trace)) => Simulator::replay_with_arena(program, cfg, trace, &mut worker.arena),
+        Some((_, trace)) => match &resume {
+            Some(ck) => Simulator::resume_with_arena(program, trace, ck, &mut worker.arena),
+            None => Simulator::replay_with_arena(program, cfg, trace, &mut worker.arena),
+        },
         None => Simulator::with_arena(program, cfg, &mut worker.arena),
     };
-    sim.attach_observer(Box::new(&mut obs));
+    // Counting from 0 (not from a resumed snapshot's position) reports
+    // the restored prefix as progress too.
+    let mut published = 0;
     while !sim.is_done() {
-        let target = sim.stats().cycles + opts.chunk_cycles.max(1);
-        sim.run_until(StopCondition::Cycles(target));
+        let stop = if every > 0 {
+            StopCondition::Insts(sim.stats().insts + every)
+        } else {
+            StopCondition::Cycles(sim.stats().cycles + CHUNK_CYCLES)
+        };
+        sim.run_until(stop);
+        progress.add_insts(sim.stats().insts - published);
+        published = sim.stats().insts;
+        if every > 0 && !sim.is_done() {
+            sink(&sim.checkpoint());
+        }
     }
     let report = sim.finish();
-    let sim_secs = started.elapsed().as_secs_f64();
-    if report.insts > obs.published {
-        progress.add_insts(report.insts - obs.published);
-    }
+    progress.add_insts(report.insts - published);
     progress.job_done();
     let timing = JobTiming {
-        profile: profile_idx,
-        config: config_idx,
+        profile: p,
+        config: c,
         trace_secs,
-        sim_secs,
+        sim_secs: started.elapsed().as_secs_f64(),
         insts: report.insts,
         cycles: report.cycles,
     };
     (report, timing)
-}
-
-/// Runs one profile's whole configuration block as a fused lockstep
-/// [`LaneSet`]: the trace is recorded (or reused from the worker's
-/// cache) once at the block's largest budget, then every configuration
-/// replays it in one shared pass. Lane reports are bit-identical to
-/// [`run_job`]'s solo reports, so fusing never changes campaign
-/// artifacts.
-///
-/// Timing attribution: the trace cost lands on the block's first lane
-/// (as on the solo path), and the fused pass's wall-clock is split
-/// evenly across lanes — lanes interleave within each lockstep round,
-/// so per-lane wall-clock is not separable, but the even split keeps
-/// every aggregate (sum of `insts` over sum of `sim_secs`) exact.
-fn run_fused_row(
-    worker: &mut WorkerContext,
-    program: &Program,
-    trace_key: (&'static str, u64),
-    profile_idx: usize,
-    configs: &[nosq_core::SimConfig],
-    progress: &ProgressCounters<StdSync>,
-) -> Vec<(SimReport, JobTiming)> {
-    let budget = configs.iter().map(|c| c.max_insts).max().unwrap_or(0);
-    let key = (trace_key.0, trace_key.1, budget);
-    let mut trace_secs = 0.0;
-    if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
-        worker.trace = None; // never hold two traces at once
-        let started = Instant::now();
-        let trace = TraceBuffer::record_with_arena(program, budget, &mut worker.arena.trace);
-        trace_secs = started.elapsed().as_secs_f64();
-        worker.trace = Some((key, trace));
-    }
-    let (_, trace) = worker.trace.as_ref().expect("trace recorded above");
-    let started = Instant::now();
-    let lanes = LaneSet::fused_replay_with_arena(program, configs, trace, &mut worker.arena);
-    let reports = lanes.run_with(|round_insts| progress.add_insts(round_insts));
-    let share = started.elapsed().as_secs_f64() / configs.len().max(1) as f64;
-    reports
-        .into_iter()
-        .enumerate()
-        .map(|(c, report)| {
-            progress.job_done();
-            let timing = JobTiming {
-                profile: profile_idx,
-                config: c,
-                trace_secs: if c == 0 { trace_secs } else { 0.0 },
-                sim_secs: share,
-                insts: report.insts,
-                cycles: report.cycles,
-            };
-            (report, timing)
-        })
-        .collect()
 }
 
 /// The outcome of one campaign run: every job's [`SimReport`] in grid
@@ -432,9 +360,6 @@ pub fn run_campaign_on(
         campaign.profiles.len(),
         "one program per profile"
     );
-    if opts.fused && !campaign.configs.is_empty() {
-        return run_campaign_fused(campaign, programs, opts);
-    }
     let n_configs = campaign.configs.len();
     let jobs = campaign.jobs();
     let threads = effective_threads(opts.threads, jobs);
@@ -442,18 +367,7 @@ pub fn run_campaign_on(
     let started = Instant::now();
 
     let job = |worker: &mut WorkerContext, i: usize| {
-        let (p, c) = (i / n_configs, i % n_configs);
-        run_job(
-            worker,
-            &programs[p],
-            (campaign.profiles[p].name, campaign.seed),
-            p,
-            c,
-            n_configs,
-            campaign.configs[c].config.clone(),
-            opts,
-            &progress,
-        )
+        run_job(worker, campaign, programs, i, &progress, None)
     };
 
     // The coordinator doubles as the progress reporter while the
@@ -487,116 +401,11 @@ pub fn run_campaign_on(
     }
 }
 
-/// The fused grid: one row per profile, each row a lockstep
-/// [`LaneSet`] over the campaign's whole configuration list. Reports
-/// land in the same profile-major order as the solo grid, byte for
-/// byte; the unit of work-pickup is a profile row, so worker count is
-/// bounded by the profile count.
-fn run_campaign_fused(
-    campaign: &Campaign,
-    programs: &[Program],
-    opts: &RunOptions,
-) -> CampaignResult {
-    let jobs = campaign.jobs();
-    let rows = campaign.profiles.len();
-    let threads = effective_threads(opts.threads, rows);
-    let progress = ProgressCounters::<StdSync>::new();
-    let started = Instant::now();
-    let configs: Vec<nosq_core::SimConfig> =
-        campaign.configs.iter().map(|c| c.config.clone()).collect();
-
-    let row = |worker: &mut WorkerContext, p: usize| {
-        run_fused_row(
-            worker,
-            &programs[p],
-            (campaign.profiles[p].name, campaign.seed),
-            p,
-            &configs,
-            &progress,
-        )
-    };
-    let poll = opts
-        .progress
-        .then_some(|| print_progress(&campaign.name, &progress, jobs, started));
-    let outcomes: Vec<Vec<(SimReport, JobTiming)>> =
-        parallel_map_ctx(rows, opts.threads, 1, WorkerContext::new, row, poll);
-    if opts.progress {
-        print_progress(&campaign.name, &progress, jobs, started);
-        eprintln!();
-    }
-    let (reports, timings) = outcomes.into_iter().flatten().unzip();
-
-    CampaignResult {
-        campaign: campaign.clone(),
-        reports,
-        threads,
-        elapsed: started.elapsed(),
-        timings,
-    }
-}
-
 /// Synthesizes the workloads and runs the campaign grid; see
 /// [`run_campaign_on`].
 pub fn run_campaign(campaign: &Campaign, opts: &RunOptions) -> CampaignResult {
     let programs = synthesize_programs(campaign, opts.threads);
     run_campaign_on(campaign, &programs, opts)
-}
-
-/// Runs a campaign grid serially on the calling thread, inside a
-/// caller-owned [`WorkerContext`] and publishing into caller-owned
-/// [`ProgressCounters`].
-///
-/// This is the `nosq serve` execution path: each daemon worker owns one
-/// long-lived context, so arenas and recorded traces persist *across*
-/// jobs (a re-submitted campaign spec skips the functional front end
-/// entirely), and the shared counters are what the daemon streams to
-/// `wait`ing clients while the job runs. The reports are bit-identical
-/// to [`run_campaign`] — sessions, replay, and arenas never change
-/// results, only wall-clock (`tests/it_serve.rs` pins the byte-identity
-/// end to end).
-///
-/// # Panics
-///
-/// Panics if `programs.len() != campaign.profiles.len()`.
-pub fn run_campaign_serial(
-    campaign: &Campaign,
-    programs: &[Program],
-    opts: &RunOptions,
-    ctx: &mut WorkerContext,
-    progress: &ProgressCounters<StdSync>,
-) -> CampaignResult {
-    assert_eq!(
-        programs.len(),
-        campaign.profiles.len(),
-        "one program per profile"
-    );
-    let n_configs = campaign.configs.len();
-    let started = Instant::now();
-    let mut reports = Vec::with_capacity(campaign.jobs());
-    let mut timings = Vec::with_capacity(campaign.jobs());
-    for i in 0..campaign.jobs() {
-        let (p, c) = (i / n_configs, i % n_configs);
-        let (report, timing) = run_job(
-            ctx,
-            &programs[p],
-            (campaign.profiles[p].name, campaign.seed),
-            p,
-            c,
-            n_configs,
-            campaign.configs[c].config.clone(),
-            opts,
-            progress,
-        );
-        reports.push(report);
-        timings.push(timing);
-    }
-    CampaignResult {
-        campaign: campaign.clone(),
-        reports,
-        threads: 1,
-        elapsed: started.elapsed(),
-        timings,
-    }
 }
 
 /// Where to pick a campaign back up after a crash: the grid index of
@@ -627,23 +436,25 @@ pub struct CkptEvent<'a> {
     pub state: Option<&'a nosq_core::SimCheckpoint>,
 }
 
-/// [`run_campaign_serial`] with crash-durable mid-job checkpoints: the
-/// serial grid loop, but every `ckpt_every_insts` committed
-/// instructions (and at every job boundary) it hands the caller a
-/// [`CkptEvent`] snapshot to persist, and it can pick a grid back up
-/// from a [`ResumeState`] — re-simulating only the interrupted job's
-/// tail, not the finished prefix.
+/// Runs a campaign grid serially on the calling thread, inside a
+/// caller-owned [`WorkerContext`] and publishing into caller-owned
+/// [`ProgressCounters`], with optional crash-durable checkpoints.
+///
+/// This is the `nosq serve` execution path, journaled or not: each
+/// daemon worker owns one long-lived context, so arenas and recorded
+/// traces persist *across* campaigns, and the shared counters are what
+/// the daemon streams to `wait`ing clients (a resumed grid counts its
+/// restored work there too). Every `ckpt_every_insts` committed
+/// instructions, and at every job boundary, it hands `sink` a
+/// [`CkptEvent`] to persist, and it can pick a grid back up from a
+/// [`ResumeState`], re-simulating only the interrupted job's tail. An
+/// un-journaled caller passes cadence 0, no resume point and a sink
+/// that ignores its events.
 ///
 /// Reports are bit-identical to [`run_campaign`] at any checkpoint
-/// cadence and any resume point: checkpoints snapshot a *replay*
-/// session (sessions, replay, and arenas never change results), and
-/// `tests/it_serve.rs` pins resumed-vs-uninterrupted byte identity.
-/// Two costs distinguish this from the plain serial path: the trace is
-/// *always* buffered for replay (snapshotting requires a replay
-/// session — budgets beyond the usual replay cap pay the memory), and
-/// observers are never attached (checkpointing a session with
-/// caller-owned observer state is not supported), so progress is
-/// published at chunk boundaries instead of per-chunk-cycle.
+/// cadence and any resume point (`tests/it_serve.rs` pins this). A
+/// checkpointing or resumed job always buffers its trace for replay,
+/// so budgets beyond the usual replay cap pay the memory.
 ///
 /// `ckpt_every_insts == 0` disables mid-job snapshots; the sink then
 /// sees only job-boundary events. The final boundary (all jobs done)
@@ -701,68 +512,25 @@ pub fn run_campaign_durable(
     }
 
     for i in start_job..jobs {
-        let (p, c) = (i / n_configs, i % n_configs);
-        let program = &programs[p];
-        let cfg = campaign.configs[c].config.clone();
-        // Snapshotting requires a replay session, so the trace is
-        // always buffered here (no REPLAY_BUDGET_CAP opt-out).
-        let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
-        let mut trace_secs = 0.0;
-        if ctx.trace.as_ref().map(|(k, _)| *k) != Some(key) {
-            ctx.trace = None; // never hold two traces at once
-            let t0 = Instant::now();
-            let trace =
-                TraceBuffer::record_with_arena(program, cfg.max_insts, &mut ctx.arena.trace);
-            trace_secs = t0.elapsed().as_secs_f64();
-            ctx.trace = Some((key, trace));
-        }
-
-        let t0 = Instant::now();
-        let report = {
-            let (_, trace) = ctx.trace.as_ref().expect("trace recorded above");
-            let mut sim = match checkpoint.take() {
-                Some(ck) => Simulator::resume_with_arena(program, trace, &ck, &mut ctx.arena),
-                None => Simulator::replay_with_arena(program, cfg, trace, &mut ctx.arena),
-            };
-            let mut published = sim.stats().insts;
-            while !sim.is_done() {
-                if ckpt_every_insts == 0 {
-                    let target = sim.stats().cycles + 8_192;
-                    sim.run_until(StopCondition::Cycles(target));
-                } else {
-                    let target = sim.stats().insts + ckpt_every_insts;
-                    sim.run_until(StopCondition::Insts(target));
-                }
-                let insts = sim.stats().insts;
-                if insts > published {
-                    progress.add_insts(insts - published);
-                    published = insts;
-                }
-                if ckpt_every_insts != 0 && !sim.is_done() {
-                    let snap = sim.checkpoint();
+        let (report, timing) = run_job(
+            ctx,
+            campaign,
+            programs,
+            i,
+            progress,
+            Some(JobCkpt {
+                every: ckpt_every_insts,
+                resume: checkpoint.take(),
+                sink: &mut |state| {
                     sink(CkptEvent {
                         job_index: i,
                         completed: &reports,
-                        state: Some(&snap),
-                    });
-                }
-            }
-            let report = sim.finish();
-            if report.insts > published {
-                progress.add_insts(report.insts - published);
-            }
-            report
-        };
-        let sim_secs = t0.elapsed().as_secs_f64();
-        progress.job_done();
-        timings.push(JobTiming {
-            profile: p,
-            config: c,
-            trace_secs,
-            sim_secs,
-            insts: report.insts,
-            cycles: report.cycles,
-        });
+                        state: Some(state),
+                    })
+                },
+            }),
+        );
+        timings.push(timing);
         reports.push(report);
         if i + 1 < jobs {
             sink(CkptEvent {
@@ -831,34 +599,5 @@ mod tests {
         assert_eq!(result.report(0, 0).insts, result.report(0, 1).insts);
         assert!(result.report(0, 0).cycles > 0);
         assert!(result.baseline_report(0).is_none());
-    }
-
-    #[test]
-    fn fused_campaign_reports_are_byte_identical_to_solo() {
-        let campaign = Campaign::builder("fused")
-            .preset(Preset::Nosq)
-            .preset(Preset::NosqNoDelay)
-            .preset(Preset::BaselineStoresets)
-            .profiles(["gzip", "applu"])
-            .max_insts(1_500)
-            .build()
-            .unwrap();
-        let solo = run_campaign(&campaign, &RunOptions::default());
-        for threads in [1, 3] {
-            let fused = run_campaign(
-                &campaign,
-                &RunOptions {
-                    fused: true,
-                    threads,
-                    ..RunOptions::default()
-                },
-            );
-            assert_eq!(fused.reports, solo.reports);
-            assert_eq!(fused.timings.len(), solo.timings.len());
-            for (i, t) in fused.timings.iter().enumerate() {
-                assert_eq!((t.profile, t.config), (i / 3, i % 3));
-                assert!(t.sim_secs >= 0.0);
-            }
-        }
     }
 }

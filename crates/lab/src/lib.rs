@@ -90,8 +90,8 @@ pub use campaign::{
 pub use checks::{check_json, model_names, run_checks, BoundPreset, CheckOptions};
 pub use executor::{
     effective_threads, parallel_map_indexed, run_campaign, run_campaign_durable, run_campaign_on,
-    run_campaign_serial, synthesize_programs, CampaignResult, CkptEvent, JobTiming, ResumeState,
-    RunOptions, WorkerContext,
+    synthesize_programs, CampaignResult, CkptEvent, JobTiming, ResumeState, RunOptions,
+    WorkerContext,
 };
 pub use grid::{run_grid, JobCursor, ProgressCounters};
 pub use lint::{lint_tree, Allowlist, LintFinding, LintResult};

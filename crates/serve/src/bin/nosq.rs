@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! nosq run <spec-file> [--threads N] [--out DIR] [--max-insts N] [--progress]
-//!                      [--fused] [--sample WARMUP:INTERVAL:COUNT]
+//!                      [--sample WARMUP:INTERVAL:COUNT]
 //!                      [--journal FILE] [--ckpt-every N]
 //! nosq run --resume <journal> [--out DIR]
 //! nosq table5          [--threads N] [--out DIR] [--max-insts N]
@@ -71,9 +71,6 @@ OPTIONS:
     --out DIR            artifact directory (default: $NOSQ_ARTIFACT_DIR or ./nosq-artifacts)
     --max-insts N        override the per-job dynamic-instruction budget
     --progress           live progress line on stderr
-    --fused              fuse each profile's configuration block into one
-                         lockstep multi-lane replay (identical reports, one
-                         trace pass per profile instead of one per job)
     --sample W:I:C       (run) sampled estimate instead of full simulation:
                          fast-forward W instructions, then measure C windows
                          of I instructions spread over the rest
@@ -122,7 +119,6 @@ struct Options {
     out: PathBuf,
     max_insts: Option<u64>,
     progress: bool,
-    fused: bool,
     sample: Option<nosq_core::SamplePlan>,
     small: bool,
     break_predictor: Option<u64>,
@@ -218,7 +214,6 @@ fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), String> {
             .unwrap_or_else(|| PathBuf::from("nosq-artifacts")),
         max_insts: None,
         progress: false,
-        fused: false,
         sample: None,
         small: false,
         break_predictor: None,
@@ -261,7 +256,6 @@ fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), String> {
                 options.max_insts = Some(v);
             }
             "--progress" => options.progress = true,
-            "--fused" => options.fused = true,
             "--sample" => {
                 let v = value_of("--sample")?;
                 let plan =
@@ -334,18 +328,11 @@ fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), String> {
             _ => positional.push(arg.clone()),
         }
     }
-    if options.fused && options.sample.is_some() {
-        return Err("`--fused` and `--sample` are mutually exclusive".to_owned());
-    }
-    // Checkpointing snapshots the serial replay loop; the fused
-    // multi-lane engine and the sampling estimator have no snapshot
-    // form, so a durable run (or a journal resume) excludes both.
-    if (options.journal.is_some() || options.resume.is_some())
-        && (options.fused || options.sample.is_some())
-    {
-        return Err(
-            "`--journal`/`--resume` are incompatible with `--fused` and `--sample`".to_owned(),
-        );
+    // Checkpointing snapshots the serial replay loop; the sampling
+    // estimator has no snapshot form, so a durable run (or a journal
+    // resume) excludes it.
+    if (options.journal.is_some() || options.resume.is_some()) && options.sample.is_some() {
+        return Err("`--journal`/`--resume` are incompatible with `--sample`".to_owned());
     }
     Ok((positional, options))
 }
@@ -354,8 +341,6 @@ fn run_options(options: &Options) -> RunOptions {
     RunOptions {
         threads: options.threads,
         progress: options.progress,
-        fused: options.fused,
-        ..RunOptions::default()
     }
 }
 

@@ -39,13 +39,13 @@
 //! ## Determinism contract
 //!
 //! The daemon never invents result bytes: artifacts come from the same
-//! [`run_campaign_serial`](nosq_lab::run_campaign_serial) →
-//! [`artifacts`](nosq_lab::artifacts) pipeline the CLI uses, the cache
-//! and journal store exactly those bytes, and `tests/it_serve.rs` +
-//! `nosq loadgen` both assert byte-identity against one-shot local
-//! runs. Timing (latency histograms, jobs/sec) is the only
-//! nondeterministic output, quarantined in `BENCH_serve.json` like the
-//! lab's timing artifact.
+//! [`run_campaign_durable`](nosq_lab::run_campaign_durable) →
+//! [`artifacts`](nosq_lab::artifacts) pipeline `nosq run --journal`
+//! uses, the cache and journal store exactly those bytes, and
+//! `tests/it_serve.rs` + `nosq loadgen` both assert byte-identity
+//! against one-shot local runs. Timing (latency histograms, jobs/sec)
+//! is the only nondeterministic output, quarantined in
+//! `BENCH_serve.json` like the lab's timing artifact.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

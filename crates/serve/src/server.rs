@@ -12,7 +12,7 @@
 //!              InjectionQueue<QueuedJob>      ← the model-checked MPMC
 //!                        │                      queue from nosq-lab
 //!            ┌ worker threads, one WorkerContext each ┐
-//!            │ run_campaign_serial → artifacts        │
+//!            │ run_campaign_durable → artifacts       │
 //!            │ journal.append (fsync) → cache.insert  │
 //!            └───────────┬──────────────────────────┬─┘
 //!                        ▼ registry: job → Done     ▼ condvar notify
@@ -42,8 +42,8 @@
 //! # Determinism
 //!
 //! Artifacts served over the wire are produced by the same
-//! [`run_campaign_serial`] → [`artifacts`] pipeline `nosq run` uses,
-//! and both are byte-identical to a one-shot
+//! [`run_campaign_durable`] → [`artifacts`] pipeline `nosq run
+//! --journal` uses, and both are byte-identical to a one-shot
 //! [`run_campaign`](nosq_lab::run_campaign) at any
 //! thread count (the executor's core guarantee; `tests/it_serve.rs`
 //! pins daemon-vs-CLI identity end to end). The cache and journal
@@ -59,8 +59,8 @@ use std::time::Duration;
 
 use nosq_check::sync::StdSync;
 use nosq_lab::{
-    artifacts, run_campaign_durable, run_campaign_serial, synthesize_programs, Campaign,
-    CampaignResult, InjectionQueue, ProgressCounters, PushError, RunOptions, WorkerContext,
+    artifacts, run_campaign_durable, synthesize_programs, Campaign, InjectionQueue,
+    ProgressCounters, PushError, WorkerContext,
 };
 
 use crate::cache::ResultCache;
@@ -416,51 +416,51 @@ fn run_one(shared: &Shared, job: QueuedJob, ctx: &mut WorkerContext) {
 
     let programs = synthesize_programs(&job.campaign, 1);
     let journaled = shared.journal.lock().expect("journal poisoned").is_some();
-    let result: CampaignResult = if journaled {
-        // The durable path: periodic mid-job checkpoints into the
-        // journal, and a resume point when recovery handed us one.
-        let resume = job
-            .resume
-            .as_ref()
-            .and_then(|entry| crate::journal::resume_state(&job.campaign, entry));
-        let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-            let entry = CheckpointEntry {
-                fingerprint: job.fingerprint,
-                name: job.campaign.name.clone(),
-                spec: job.spec.clone(),
-                job_index: ev.job_index as u64,
-                completed: ev.completed.to_vec(),
-                state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-            };
-            // Encode before locking: the lock covers the write and
-            // fsync only, so the other workers' appends never wait on
-            // this one's encoding.
-            let record = EncodedRecord::checkpoint(&entry);
-            if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
-                if let Err(e) = journal.append_encoded(&record) {
-                    eprintln!(
-                        "nosq serve: warning: checkpoint append failed for {}: {e}",
-                        fingerprint_hex(job.fingerprint)
-                    );
-                }
-            }
-        };
-        run_campaign_durable(
-            &job.campaign,
-            &programs,
-            ctx,
-            &progress,
-            shared.ckpt_every_insts,
-            resume,
-            &mut sink,
-        )
+    // With a journal: periodic mid-job checkpoints into it, and a
+    // resume point when recovery handed us one.
+    let ckpt_every = if journaled {
+        shared.ckpt_every_insts
     } else {
-        let opts = RunOptions {
-            threads: 1,
-            ..RunOptions::default()
-        };
-        run_campaign_serial(&job.campaign, &programs, &opts, ctx, &progress)
+        0
     };
+    let resume = job
+        .resume
+        .as_ref()
+        .and_then(|entry| crate::journal::resume_state(&job.campaign, entry));
+    let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
+        if !journaled {
+            return;
+        }
+        let entry = CheckpointEntry {
+            fingerprint: job.fingerprint,
+            name: job.campaign.name.clone(),
+            spec: job.spec.clone(),
+            job_index: ev.job_index as u64,
+            completed: ev.completed.to_vec(),
+            state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
+        };
+        // Encode before locking: the lock covers the write and fsync
+        // only, so the other workers' appends never wait on this one's
+        // encoding.
+        let record = EncodedRecord::checkpoint(&entry);
+        if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
+            if let Err(e) = journal.append_encoded(&record) {
+                eprintln!(
+                    "nosq serve: warning: checkpoint append failed for {}: {e}",
+                    fingerprint_hex(job.fingerprint)
+                );
+            }
+        }
+    };
+    let result = run_campaign_durable(
+        &job.campaign,
+        &programs,
+        ctx,
+        &progress,
+        ckpt_every,
+        resume,
+        &mut sink,
+    );
     let files = Arc::new(artifacts(&result));
 
     // Journal first (fsync), then cache, then report done — a crash

@@ -47,9 +47,15 @@ fn unknown_subcommand_exits_2() {
 
 #[test]
 fn unknown_option_exits_2() {
-    let out = nosq(&["smoke", "--frob"]);
-    assert_eq!(code(&out), 2);
-    assert!(stderr(&out).contains("unknown option `--frob`"));
+    for (args, flag) in [
+        (&["smoke", "--frob"][..], "--frob"),
+        (&["run", "spec.json", "--fused"], "--fused"),
+    ] {
+        let out = nosq(args);
+        assert_eq!(code(&out), 2, "nosq {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
 }
 
 #[test]
@@ -104,27 +110,23 @@ fn malformed_sample_plans_exit_2() {
 }
 
 #[test]
-fn fused_and_sample_are_mutually_exclusive() {
-    let out = nosq(&["run", "spec.json", "--fused", "--sample", "100:50:2"]);
-    assert_eq!(code(&out), 2);
-    assert!(stderr(&out).contains("mutually exclusive"));
-}
-
-#[test]
 fn durable_flag_contracts() {
     // `--resume` replaces the spec file; both together is a usage error.
     let out = nosq(&["run", "spec.json", "--resume", "j.journal"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("in place of a spec file"));
     // Checkpointing snapshots the serial replay loop, so a durable run
-    // excludes the fused and sampled engines.
-    for extra in [&["--fused"][..], &["--sample", "100:50:2"]] {
-        let mut args = vec!["run", "spec.json", "--journal", "j.journal"];
-        args.extend_from_slice(extra);
-        let out = nosq(&args);
-        assert_eq!(code(&out), 2, "{extra:?}");
-        assert!(stderr(&out).contains("incompatible"), "{extra:?}");
-    }
+    // excludes the sampled engine.
+    let out = nosq(&[
+        "run",
+        "spec.json",
+        "--journal",
+        "j.journal",
+        "--sample",
+        "100:50:2",
+    ]);
+    assert_eq!(code(&out), 2);
+    assert!(stderr(&out).contains("incompatible"));
     // An unopenable journal is a runtime failure, not a usage error.
     let out = nosq(&["run", "--resume", "/nonexistent/dir/nosq.journal"]);
     assert_eq!(code(&out), 1);
@@ -132,14 +134,14 @@ fn durable_flag_contracts() {
 }
 
 #[test]
-fn fused_and_sampled_runs_succeed_on_a_real_spec() {
-    let dir = std::env::temp_dir().join(format!("nosq-cli-fused-{}", std::process::id()));
+fn sampled_runs_succeed_on_a_real_spec() {
+    let dir = std::env::temp_dir().join(format!("nosq-cli-sampled-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let spec = dir.join("campaign.json");
     std::fs::write(
         &spec,
         r#"{
-            "name": "cli-fused",
+            "name": "cli-sampled",
             "configs": ["nosq", "baseline-storesets"],
             "profiles": ["gzip"],
             "max_insts": 2000
@@ -147,28 +149,12 @@ fn fused_and_sampled_runs_succeed_on_a_real_spec() {
     )
     .expect("write spec");
     let spec = spec.to_str().expect("utf-8 temp path");
-    let out_dir = dir.join("artifacts");
-    let out_flag = out_dir.to_str().expect("utf-8 temp path");
-
-    let solo = nosq(&["run", spec, "--out", out_flag]);
-    assert_eq!(code(&solo), 0, "{}", stderr(&solo));
-    let fused = nosq(&["run", spec, "--out", out_flag, "--fused"]);
-    assert_eq!(code(&fused), 0, "{}", stderr(&fused));
-    // Fused execution reproduces the solo geomean lines byte for byte
-    // (only timing lines may differ).
-    let geomean = |s: &str| {
-        s.lines()
-            .filter(|l| l.starts_with("nosq ") || l.starts_with("baseline-storesets "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(geomean(&stdout(&solo)), geomean(&stdout(&fused)));
 
     let sampled = nosq(&["run", spec, "--sample", "500:250:3"]);
     assert_eq!(code(&sampled), 0, "{}", stderr(&sampled));
     let text = stdout(&sampled);
     assert!(text.contains("est IPC"), "{text}");
-    assert!(text.contains("sampled campaign `cli-fused`"), "{text}");
+    assert!(text.contains("sampled campaign `cli-sampled`"), "{text}");
 
     // A warm-up past the end of the run measures nothing: runtime
     // error, exit 1.

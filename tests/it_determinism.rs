@@ -4,7 +4,7 @@
 //! twice must yield byte-identical results. A nondeterministic
 //! simulator would silently invalidate every paper comparison.
 
-use nosq_core::{simulate, LaneSet, SimArena, SimConfig, Simulator, StopCondition};
+use nosq_core::{simulate, SimArena, SimConfig, Simulator, StopCondition};
 use nosq_trace::{synthesize, Profile, TraceBuffer};
 
 /// Two independent `synthesize` + `simulate` runs of the same
@@ -154,48 +154,6 @@ fn squash_heavy_runs_match_seed_golden_counters() {
                 "{name} nosq={nosq} via {path} diverged from the seed simulator"
             );
             assert_eq!(r.insts, 40_000, "{name} committed a different count");
-        }
-    }
-}
-
-/// Fused lockstep replay is invisible in the reports: every lane of a
-/// [`LaneSet`] over all five presets must be **byte-identical** to its
-/// solo `Simulator::replay` run, on the same squash-heavy workloads the
-/// golden-counter test pins (so the solo side is itself anchored to the
-/// seed simulator). This covers everything the fused path changes —
-/// trace-indexed instruction storage, lockstep stride scheduling, and
-/// batch idle-cycle skipping — with and without a shared arena.
-#[test]
-fn fused_replay_lanes_match_solo_replay_bit_for_bit() {
-    let budget = 40_000;
-    let configs = [
-        SimConfig::baseline_perfect(budget),
-        SimConfig::baseline_storesets(budget),
-        SimConfig::nosq_no_delay(budget),
-        SimConfig::nosq(budget),
-        SimConfig::perfect_smb(budget),
-    ];
-    let mut arena = SimArena::new();
-    for name in ["gzip", "gcc", "vortex"] {
-        let profile = Profile::by_name(name).expect("profile exists");
-        let program = synthesize(profile, nosq_bench::SEED);
-        let trace = TraceBuffer::record(&program, budget);
-        let solo: Vec<_> = configs
-            .iter()
-            .map(|cfg| Simulator::replay(&program, cfg.clone(), &trace).run())
-            .collect();
-        let fused = LaneSet::fused_replay(&program, &configs, &trace).run();
-        let fused_arena =
-            LaneSet::fused_replay_with_arena(&program, &configs, &trace, &mut arena).run();
-        for (lane, solo_report) in solo.iter().enumerate() {
-            assert_eq!(
-                &fused[lane], solo_report,
-                "{name}: fused lane {lane} diverged from solo replay"
-            );
-            assert_eq!(
-                &fused_arena[lane], solo_report,
-                "{name}: arena-fused lane {lane} diverged from solo replay"
-            );
         }
     }
 }

@@ -42,21 +42,6 @@ fn artifacts_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// Different chunk sizes change observation boundaries, never results.
-#[test]
-fn chunk_size_does_not_change_artifacts() {
-    let campaign = campaign();
-    let at = |chunk_cycles: u64| {
-        let opts = RunOptions {
-            threads: 2,
-            chunk_cycles,
-            ..RunOptions::default()
-        };
-        artifacts(&run_campaign(&campaign, &opts))
-    };
-    assert_eq!(at(512), at(1 << 20));
-}
-
 /// A spec-file campaign runs end to end and its artifacts parse with
 /// the lab's own JSON parser.
 #[test]

@@ -18,8 +18,12 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
+use nosq_check::sync::StdSync;
 use nosq_lab::json::Json;
-use nosq_lab::{artifacts, run_campaign, Artifact, Campaign, RunOptions};
+use nosq_lab::{
+    artifacts, run_campaign, run_campaign_durable, synthesize_programs, Artifact, Campaign,
+    CampaignResult, ProgressCounters, RunOptions, WorkerContext,
+};
 use nosq_serve::{ServeClient, ServeOptions, ServeStats, Server};
 
 /// A small two-config campaign: enough to produce real matrix /
@@ -244,73 +248,93 @@ fn cache_accounting_adds_up() {
     assert_eq!(stats.cache_misses, 2);
 }
 
-/// Runs [`SPEC`] through the durable runner and captures the first
-/// mid-job checkpoint event as the journal record a crashed process
-/// would have fsynced — the raw material for the resume tests.
-fn mid_job_entry(campaign: &Campaign) -> nosq_serve::CheckpointEntry {
-    use nosq_check::sync::StdSync;
-    use nosq_lab::{run_campaign_durable, synthesize_programs, ProgressCounters, WorkerContext};
+/// What a finished grid's progress counters must read: every job done
+/// and every committed instruction counted.
+fn completion(result: &CampaignResult) -> (usize, u64) {
+    let insts = result.reports.iter().map(|r| r.insts).sum();
+    (result.reports.len(), insts)
+}
 
-    let fingerprint = nosq_serve::campaign_fingerprint(campaign);
-    let programs = synthesize_programs(campaign, 1);
+/// Runs `spec` through the durable runner without snapshots and at
+/// cadence 400, checks each run against `run_campaign` byte for byte
+/// and its progress counters against its reports, and captures the
+/// first mid-job checkpoint event as the journal record a crashed
+/// process would have fsynced — the raw material for the resume tests.
+fn mid_job_entry(spec: &str) -> nosq_serve::CheckpointEntry {
+    let campaign = Campaign::from_spec(spec).unwrap();
+    let fingerprint = nosq_serve::campaign_fingerprint(&campaign);
+    let programs = synthesize_programs(&campaign, 1);
+    let local = local_artifacts(spec);
     let mut captured: Option<nosq_serve::CheckpointEntry> = None;
     let mut ctx = WorkerContext::new();
-    let progress: ProgressCounters<StdSync> = ProgressCounters::new();
-    let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-        if captured.is_none() && ev.state.is_some() {
-            captured = Some(nosq_serve::CheckpointEntry {
-                fingerprint,
-                name: campaign.name.clone(),
-                spec: SPEC.to_owned(),
-                job_index: ev.job_index as u64,
-                completed: ev.completed.to_vec(),
-                state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-            });
-        }
-    };
-    let full = run_campaign_durable(
-        campaign, &programs, &mut ctx, &progress, 400, None, &mut sink,
-    );
-    assert_eq!(
-        artifacts(&full),
-        local_artifacts(SPEC),
-        "the durable runner must match run_campaign bit-for-bit"
-    );
+    for cadence in [0, 400] {
+        let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+        let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
+            assert!(cadence > 0 || ev.state.is_none(), "cadence 0 snapshots");
+            if captured.is_none() && ev.state.is_some() {
+                captured = Some(nosq_serve::CheckpointEntry {
+                    fingerprint,
+                    name: campaign.name.clone(),
+                    spec: spec.to_owned(),
+                    job_index: ev.job_index as u64,
+                    completed: ev.completed.to_vec(),
+                    state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
+                });
+            }
+        };
+        let full = run_campaign_durable(
+            &campaign, &programs, &mut ctx, &progress, cadence, None, &mut sink,
+        );
+        assert_eq!(
+            artifacts(&full),
+            local,
+            "cadence {cadence}: the durable runner must match run_campaign bit-for-bit"
+        );
+        assert_eq!(progress.snapshot(), completion(&full), "cadence {cadence}");
+    }
     captured.expect("a 1500-inst job checkpoints at cadence 400")
 }
 
 /// The tentpole's core claim at the library level: finishing a
 /// campaign from a mid-job checkpoint record produces artifacts
 /// byte-identical to the uninterrupted run — re-simulating only the
-/// interrupted job's tail, never serving partially-applied state.
+/// interrupted job's tail, never serving partially-applied state — and
+/// progress that counts the restored prefix too.
 #[test]
 fn checkpoint_resume_is_bit_identical_to_uninterrupted() {
-    use nosq_check::sync::StdSync;
-    use nosq_lab::{run_campaign_durable, synthesize_programs, ProgressCounters, WorkerContext};
-
-    let campaign = Campaign::from_spec(SPEC).unwrap();
-    let entry = mid_job_entry(&campaign);
-
-    // Resume from the captured record alone, exactly as recovery does.
-    let resume = nosq_serve::resume_state(&campaign, &entry).expect("checkpoint decodes");
-    assert!(resume.checkpoint.is_some(), "mid-job state must restore");
-    let programs = synthesize_programs(&campaign, 1);
-    let mut ctx = WorkerContext::new();
-    let progress: ProgressCounters<StdSync> = ProgressCounters::new();
-    let resumed = run_campaign_durable(
-        &campaign,
-        &programs,
-        &mut ctx,
-        &progress,
-        0,
-        Some(resume),
-        &mut |_| {},
-    );
-    assert_eq!(
-        artifacts(&resumed),
-        local_artifacts(SPEC),
-        "resumed artifacts must be byte-identical to the uninterrupted run"
-    );
+    for spec in [SPEC.to_owned(), cold_spec(0)] {
+        let campaign = Campaign::from_spec(&spec).unwrap();
+        let entry = mid_job_entry(&spec);
+        let programs = synthesize_programs(&campaign, 1);
+        for cadence in [0, 400] {
+            // Resume from the captured record alone, exactly as
+            // recovery does.
+            let resume = nosq_serve::resume_state(&campaign, &entry).expect("checkpoint decodes");
+            assert!(resume.checkpoint.is_some(), "mid-job state must restore");
+            let mut ctx = WorkerContext::new();
+            let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+            let resumed = run_campaign_durable(
+                &campaign,
+                &programs,
+                &mut ctx,
+                &progress,
+                cadence,
+                Some(resume),
+                &mut |_| {},
+            );
+            assert_eq!(
+                artifacts(&resumed),
+                local_artifacts(&spec),
+                "resumed artifacts must be byte-identical to the uninterrupted run"
+            );
+            assert_eq!(
+                progress.snapshot(),
+                completion(&resumed),
+                "{} at cadence {cadence}: progress must count the restored prefix",
+                campaign.name
+            );
+        }
+    }
 }
 
 /// A daemon started on a journal holding only a mid-job checkpoint
@@ -322,8 +346,7 @@ fn checkpoint_resume_is_bit_identical_to_uninterrupted() {
 fn daemon_resumes_half_finished_jobs_from_the_journal() {
     let dir = scratch("partial");
     let journal_path = dir.join("serve.journal");
-    let campaign = Campaign::from_spec(SPEC).unwrap();
-    let entry = mid_job_entry(&campaign);
+    let entry = mid_job_entry(SPEC);
     {
         let (mut journal, recovered) = nosq_serve::Journal::open(&journal_path).unwrap();
         assert!(recovered.completed.is_empty());
