@@ -1,10 +1,10 @@
 //! Durable on-disk encoding of [`SimCheckpoint`].
 //!
-//! A checkpoint serializes to a versioned, checksummed
-//! [`envelope`](nosq_wire::envelope) whose payload is the deterministic
-//! wire encoding of every field except the [`SimConfig`]. The
-//! configuration is not stored: it is *identified* — the envelope's
-//! fingerprint is an FNV-1a hash of the config's `Debug` rendering, and
+//! A checkpoint serializes to a versioned, checksummed [`envelope`]
+//! whose payload is the deterministic wire encoding of the checkpoint's
+//! [`Machine`], field by field in declaration order. The configuration
+//! is not stored: it is *identified* — the envelope's fingerprint is an
+//! FNV-1a hash of the config's `Debug` rendering, and
 //! [`SimCheckpoint::from_bytes`] requires the caller to supply the same
 //! configuration the checkpoint was taken under. Opening a checkpoint
 //! against a different configuration fails cleanly instead of resuming
@@ -96,6 +96,45 @@ nosq_wire::wire_struct!(Fetched {
     mispredicted_branch
 });
 
+nosq_wire::wire_struct!(Machine {
+    clock,
+    next_uid,
+    stream_next,
+    stream_limit,
+    stream_done,
+    pending,
+    fetch_buffer,
+    rob,
+    backend_exits,
+    iq_ready,
+    wheel,
+    waiters,
+    waiter_free,
+    node_waiters,
+    iq_count,
+    lq_used,
+    sq_used,
+    regs,
+    timing_mem,
+    hierarchy,
+    bpred,
+    btb,
+    ras,
+    path,
+    fetch_stall_until,
+    fetch_stalled_on,
+    halt_fetched,
+    ssn,
+    srq,
+    tssbf,
+    predictor,
+    storesets,
+    draining_for_wrap,
+    fault_bypass_seen,
+    stats,
+    done
+});
+
 /// Why a serialized checkpoint could not be opened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
@@ -145,46 +184,9 @@ impl SimCheckpoint {
     /// state encode identically, so byte equality of `to_bytes` output
     /// is state equality.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.clock.enc(&mut e);
-        self.next_uid.enc(&mut e);
-        self.stream_next.enc(&mut e);
-        self.stream_limit.enc(&mut e);
-        self.stream_done.enc(&mut e);
-        self.pending.enc(&mut e);
-        self.fetch_buffer.enc(&mut e);
-        self.rob.enc(&mut e);
-        self.backend_exits.enc(&mut e);
-        self.iq_ready.enc(&mut e);
-        self.wheel.enc(&mut e);
-        self.waiters.enc(&mut e);
-        self.waiter_free.enc(&mut e);
-        self.node_waiters.enc(&mut e);
-        self.iq_count.enc(&mut e);
-        self.lq_used.enc(&mut e);
-        self.sq_used.enc(&mut e);
-        self.regs.enc(&mut e);
-        self.timing_mem.enc(&mut e);
-        self.hierarchy.enc(&mut e);
-        self.bpred.enc(&mut e);
-        self.btb.enc(&mut e);
-        self.ras.enc(&mut e);
-        self.path.enc(&mut e);
-        self.fetch_stall_until.enc(&mut e);
-        self.fetch_stalled_on.enc(&mut e);
-        self.halt_fetched.enc(&mut e);
-        self.ssn.enc(&mut e);
-        self.srq.enc(&mut e);
-        self.tssbf.enc(&mut e);
-        self.predictor.enc(&mut e);
-        self.storesets.enc(&mut e);
-        self.draining_for_wrap.enc(&mut e);
-        self.fault_bypass_seen.enc(&mut e);
-        self.stats.enc(&mut e);
-        self.done.enc(&mut e);
         envelope::seal(
             SimCheckpoint::config_fingerprint(&self.cfg),
-            &e.into_bytes(),
+            &nosq_wire::to_bytes(&self.m),
         )
     }
 
@@ -197,47 +199,9 @@ impl SimCheckpoint {
     /// snapshot bit-identically.
     pub fn from_bytes(bytes: &[u8], cfg: &SimConfig) -> Result<SimCheckpoint, CkptError> {
         let payload = envelope::open(bytes, SimCheckpoint::config_fingerprint(cfg))?;
-        let mut d = Dec::new(payload);
-        let ckpt = SimCheckpoint {
+        Ok(SimCheckpoint {
             cfg: cfg.clone(),
-            clock: Wire::dec(&mut d)?,
-            next_uid: Wire::dec(&mut d)?,
-            stream_next: Wire::dec(&mut d)?,
-            stream_limit: Wire::dec(&mut d)?,
-            stream_done: Wire::dec(&mut d)?,
-            pending: Wire::dec(&mut d)?,
-            fetch_buffer: Wire::dec(&mut d)?,
-            rob: Wire::dec(&mut d)?,
-            backend_exits: Wire::dec(&mut d)?,
-            iq_ready: Wire::dec(&mut d)?,
-            wheel: Wire::dec(&mut d)?,
-            waiters: Wire::dec(&mut d)?,
-            waiter_free: Wire::dec(&mut d)?,
-            node_waiters: Wire::dec(&mut d)?,
-            iq_count: Wire::dec(&mut d)?,
-            lq_used: Wire::dec(&mut d)?,
-            sq_used: Wire::dec(&mut d)?,
-            regs: Wire::dec(&mut d)?,
-            timing_mem: Wire::dec(&mut d)?,
-            hierarchy: Wire::dec(&mut d)?,
-            bpred: Wire::dec(&mut d)?,
-            btb: Wire::dec(&mut d)?,
-            ras: Wire::dec(&mut d)?,
-            path: Wire::dec(&mut d)?,
-            fetch_stall_until: Wire::dec(&mut d)?,
-            fetch_stalled_on: Wire::dec(&mut d)?,
-            halt_fetched: Wire::dec(&mut d)?,
-            ssn: Wire::dec(&mut d)?,
-            srq: Wire::dec(&mut d)?,
-            tssbf: Wire::dec(&mut d)?,
-            predictor: Wire::dec(&mut d)?,
-            storesets: Wire::dec(&mut d)?,
-            draining_for_wrap: Wire::dec(&mut d)?,
-            fault_bypass_seen: Wire::dec(&mut d)?,
-            stats: Wire::dec(&mut d)?,
-            done: Wire::dec(&mut d)?,
-        };
-        d.finish()?;
-        Ok(ckpt)
+            m: nosq_wire::from_bytes(payload)?,
+        })
     }
 }

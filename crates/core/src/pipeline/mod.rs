@@ -15,16 +15,23 @@
 //!
 //! # Datapath layout
 //!
-//! The hot-path state is flat and index-addressed: each in-flight
-//! [`DynInst`] is stored exactly once in a slab
-//! ([`InstPool`](crate::arena)) and travels through the fetch buffer,
-//! ROB, and squash-replay queue as a 4-byte index; the ROB and its
-//! sibling queues are power-of-two rings with stable absolute positions
-//! ([`Ring`](crate::arena)); and the issue stage walks a compact
+//! The hot-path state is flat and index-addressed. Each in-flight
+//! [`DynInst`] is stored exactly once and travels through the fetch
+//! buffer, ROB, and squash-replay queue as a 4-byte index into the
+//! session's `InstSupply`: live tracing copies each instruction into
+//! a recycled slab ([`InstPool`](crate::arena)), while replay indexes
+//! the recorded trace directly. The ROB and its sibling queues are
+//! power-of-two rings with stable absolute positions
+//! ([`Ring`](crate::arena)), and the issue stage walks a compact
 //! candidate list of ROB positions instead of rescanning every ROB
 //! entry each cycle. All of it is recyclable across sessions through
 //! [`SimArena`] / [`Simulator::with_arena`] — reuse never changes a
 //! report byte, only where the memory comes from.
+//!
+//! Everything a checkpoint captures lives in one `Machine`; the
+//! [`Simulator`] around it holds only the configuration, the
+//! instruction supply, the squash scratch, the observers and the arena
+//! hand-back.
 
 mod ckpt;
 pub(crate) mod nodes;
@@ -115,12 +122,12 @@ impl LoadPlan {
 }
 
 /// One ROB entry. The dynamic instruction itself lives in the
-/// [`InstPool`] slab; the entry carries its 4-byte index (plus a cached
+/// [`InstSupply`]; the entry carries its 4-byte index (plus a cached
 /// class, the one field the per-cycle loops touch constantly).
 #[derive(Clone, Debug)]
 pub(crate) struct Entry {
     uid: u64,
-    /// Index of this entry's [`DynInst`] in the instruction pool.
+    /// Index of this entry's [`DynInst`] in the [`InstSupply`].
     inst: u32,
     /// Cached `DynInst::class`.
     class: InstClass,
@@ -211,35 +218,32 @@ pub(crate) struct Waiter {
 /// `next` sentinel / empty waiter-list head.
 const NO_WAITER: u32 = u32::MAX;
 
-/// Where the pipeline's dynamic instructions come from: a live
-/// [`Tracer`] (functional execution interleaved with timing) or a
-/// recorded [`TraceBuffer`] replay (functional work paid once, shared
-/// by many configurations). Both produce the identical stream.
-enum InstSource<'p> {
-    Live(Box<Tracer<'p>>),
-    Replay {
-        insts: &'p [DynInst],
-        next: usize,
-        limit: usize,
-    },
+/// Where the pipeline's dynamic instructions come from, paired with the
+/// storage their 4-byte indices address. Both variants produce the
+/// identical stream.
+///
+/// - `Live`: a [`Tracer`] executes the program functionally,
+///   interleaved with timing; each instruction is copied into the
+///   [`InstPool`](crate::arena) at fetch and its slot is recycled at
+///   retire.
+/// - `Replay`: a recorded [`TraceBuffer`] (functional work paid once,
+///   shared by many configurations). The index *is* the trace
+///   position, so replay never copies a `DynInst`; the arena's pool
+///   rides along idle so [`Simulator::finish`] can hand it back.
+enum InstSupply<'p> {
+    Live(Box<Tracer<'p>>, InstPool),
+    Replay(&'p [DynInst], InstPool),
 }
 
-impl<'p> InstSource<'p> {
-    /// Pulls the next instruction as a slab index. Live tracing copies
-    /// the record into the pool; a replayed instruction's index *is*
-    /// its trace position, so replay never copies a `DynInst` at all.
+impl InstSupply<'_> {
+    /// Pulls the next instruction as an index. Replay advances the
+    /// machine's cursor `next` up to `limit`; live tracing ignores both.
     #[inline]
-    fn next_index(&mut self, slab: &mut InstSlab<'p>) -> Option<u32> {
+    fn next_index(&mut self, next: &mut usize, limit: usize) -> Option<u32> {
         match self {
-            InstSource::Live(t) => {
-                let d = t.next()?;
-                match slab {
-                    InstSlab::Pool(pool) => Some(pool.alloc(d)),
-                    InstSlab::Trace { .. } => unreachable!("live source pairs with a pool slab"),
-                }
-            }
-            InstSource::Replay { next, limit, .. } => {
-                if *next >= *limit {
+            InstSupply::Live(tracer, pool) => Some(pool.alloc(tracer.next()?)),
+            InstSupply::Replay(..) => {
+                if *next >= limit {
                     return None;
                 }
                 let idx = *next as u32;
@@ -248,57 +252,38 @@ impl<'p> InstSource<'p> {
             }
         }
     }
-}
 
-/// Backing storage for in-flight [`DynInst`]s, addressed by the 4-byte
-/// indices that travel through the fetch buffer, ROB, and replay queue.
-///
-/// Live tracing copies each instruction into a recycled
-/// [`InstPool`](crate::arena) slab and recycles slots at retire; replay
-/// addresses the recorded trace directly (the index is the trace
-/// position), with the arena's pool riding along idle so
-/// [`Simulator::finish`] can hand it back.
-enum InstSlab<'p> {
-    Pool(InstPool),
-    Trace {
-        insts: &'p [DynInst],
-        pool: InstPool,
-    },
-}
-
-impl InstSlab<'_> {
-    /// Returns a pool slot to the free list (a no-op for trace-backed
-    /// storage, whose slots are the immutable trace itself).
+    /// Returns a pool slot to the free list (a no-op for replay, whose
+    /// slots are the immutable trace itself).
     #[inline]
     fn release(&mut self, idx: u32) {
-        if let InstSlab::Pool(pool) = self {
+        if let InstSupply::Live(_, pool) = self {
             pool.release(idx);
         }
     }
 
-    /// Extracts the recyclable pool for the arena hand-back.
-    fn take_pool(&mut self) -> InstPool {
+    /// The recyclable pool, for the arena hand-out and hand-back.
+    fn pool(&mut self) -> &mut InstPool {
         match self {
-            InstSlab::Pool(pool) => std::mem::take(pool),
-            InstSlab::Trace { pool, .. } => std::mem::take(pool),
+            InstSupply::Live(_, pool) | InstSupply::Replay(_, pool) => pool,
         }
     }
 }
 
-impl std::ops::Index<u32> for InstSlab<'_> {
+impl std::ops::Index<u32> for InstSupply<'_> {
     type Output = DynInst;
 
     #[inline]
     fn index(&self, idx: u32) -> &DynInst {
         match self {
-            InstSlab::Pool(pool) => &pool[idx],
-            InstSlab::Trace { insts, .. } => &insts[idx as usize],
+            InstSupply::Live(_, pool) => &pool[idx],
+            InstSupply::Replay(trace, _) => &trace[idx as usize],
         }
     }
 }
 
-/// A fetched-but-not-dispatched instruction (pool index + front-end
-/// snapshots).
+/// A fetched-but-not-dispatched instruction (instruction index +
+/// front-end snapshots).
 #[derive(Clone, Debug)]
 pub(crate) struct Fetched {
     inst: u32,
@@ -361,67 +346,32 @@ impl std::fmt::Debug for StopCondition<'_> {
 /// the simulator, cannot be snapshotted.
 pub struct SimCheckpoint {
     cfg: SimConfig,
+    m: Machine,
+}
+
+/// Everything a [`SimCheckpoint`] captures and a resume restores: the
+/// instruction window, the store register queue, T-SSBF, SSN counters,
+/// bypassing predictor and store sets, the caches and branch
+/// structures, the commit-ordered memory image and the statistics.
+/// [`Simulator`] keeps only session plumbing outside it, so a
+/// checkpoint is a clone and a resume is one assignment.
+///
+/// The declaration order is the checkpoint format: the payload of
+/// [`SimCheckpoint::to_bytes`] is the wire encoding of these fields in
+/// this order, through the `wire_struct!` in `ckpt.rs`, which lists
+/// them in the same order. Adding, removing or reordering a field
+/// changes the format: bump `nosq_wire::envelope::VERSION` and re-pin
+/// `checkpoint_bytes_are_pinned` in `tests/it_ckptio.rs`.
+#[derive(Clone)]
+pub(crate) struct Machine {
     clock: u64,
     next_uid: u64,
+    /// Replay cursor: the next trace position to fetch and the end of
+    /// the replayed extent. Live tracing leaves both at zero.
     stream_next: usize,
     stream_limit: usize,
     stream_done: bool,
-    pending: Ring<u32>,
-    fetch_buffer: Ring<Fetched>,
-    rob: Ring<Entry>,
-    backend_exits: Ring<u64>,
-    iq_ready: Vec<ReadyCand>,
-    wheel: std::collections::BinaryHeap<WheelEntry>,
-    waiters: Vec<Waiter>,
-    waiter_free: Vec<u32>,
-    node_waiters: Vec<u32>,
-    iq_count: usize,
-    lq_used: usize,
-    sq_used: usize,
-    regs: RegState,
-    timing_mem: Memory,
-    hierarchy: MemoryHierarchy,
-    bpred: HybridPredictor,
-    btb: Btb,
-    ras: ReturnAddressStack,
-    path: PathHistory,
-    fetch_stall_until: u64,
-    fetch_stalled_on: Option<u64>,
-    halt_fetched: bool,
-    ssn: SsnCounters,
-    srq: StoreRegisterQueue,
-    tssbf: Tssbf,
-    predictor: BypassingPredictor,
-    storesets: StoreSets,
-    draining_for_wrap: bool,
-    fault_bypass_seen: u64,
-    stats: SimReport,
-    done: bool,
-}
-
-/// The simulator for one (program, configuration) pair.
-///
-/// A `Simulator` is a *session*: construct it with [`Simulator::new`]
-/// (or [`Simulator::with_arena`] to recycle a previous session's
-/// buffers), optionally [attach observers](Simulator::attach_observer),
-/// advance it incrementally with [`step`](Simulator::step) /
-/// [`run_until`](Simulator::run_until) while reading
-/// [`stats`](Simulator::stats) snapshots, and close it with
-/// [`finish`](Simulator::finish) for the final [`SimReport`]. The
-/// one-shot [`run`](Simulator::run) / [`simulate`] wrappers do exactly
-/// that in a single call, and interleaved stepping reproduces the
-/// one-shot counters bit for bit.
-pub struct Simulator<'p> {
-    cfg: SimConfig,
-    clock: u64,
-    cycle_cap: u64,
-    next_uid: u64,
-    // Instruction supply.
-    stream: InstSource<'p>,
-    stream_done: bool,
-    /// In-flight dynamic instructions, stored once, addressed by index.
-    insts: InstSlab<'p>,
-    /// Squash-replay queue (pool indices, program order).
+    /// Squash-replay queue (instruction indices, program order).
     pending: Ring<u32>,
     fetch_buffer: Ring<Fetched>,
     // Window.
@@ -442,8 +392,6 @@ pub struct Simulator<'p> {
     iq_count: usize,
     lq_used: usize,
     sq_used: usize,
-    /// Squash scratch (drained ROB entries), reused across squashes.
-    scratch: Vec<Entry>,
     // Register state.
     regs: RegState,
     // Memory.
@@ -467,10 +415,34 @@ pub struct Simulator<'p> {
     /// Bypassing loads planned so far, counted only under fault
     /// injection (selects every `period`-th victim deterministically).
     fault_bypass_seen: u64,
-    // Results / instrumentation.
+    // Results.
     stats: SimReport,
-    observers: Vec<Box<dyn SimObserver + 'p>>,
     done: bool,
+}
+
+/// The simulator for one (program, configuration) pair.
+///
+/// A `Simulator` is a *session*: construct it with [`Simulator::new`]
+/// (or [`Simulator::with_arena`] to recycle a previous session's
+/// buffers), optionally [attach observers](Simulator::attach_observer),
+/// advance it incrementally with [`step`](Simulator::step) /
+/// [`run_until`](Simulator::run_until) while reading
+/// [`stats`](Simulator::stats) snapshots, and close it with
+/// [`finish`](Simulator::finish) for the final [`SimReport`]. The
+/// one-shot [`run`](Simulator::run) / [`simulate`] wrappers do exactly
+/// that in a single call, and interleaved stepping reproduces the
+/// one-shot counters bit for bit.
+pub struct Simulator<'p> {
+    cfg: SimConfig,
+    cycle_cap: u64,
+    /// Instruction supply; in-flight instructions are addressed by index.
+    insts: InstSupply<'p>,
+    /// Squash scratch (drained ROB entries), reused across squashes and
+    /// empty between steps.
+    scratch: Vec<Entry>,
+    /// The checkpointed state.
+    m: Machine,
+    observers: Vec<Box<dyn SimObserver + 'p>>,
     /// Where to return the recyclable buffers at `finish`.
     arena_core: Option<&'p mut CoreBuffers>,
 }
@@ -478,8 +450,9 @@ pub struct Simulator<'p> {
 impl<'p> Simulator<'p> {
     /// Builds a simulator over `program` with session-owned buffers.
     pub fn new(program: &'p Program, cfg: SimConfig) -> Simulator<'p> {
-        let stream = InstSource::Live(Box::new(Tracer::new(program, cfg.max_insts)));
-        Simulator::build(program, cfg, stream, None)
+        let tracer = Tracer::new(program, cfg.max_insts);
+        let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
+        Simulator::build(program, cfg, insts, 0..0, None)
     }
 
     /// Builds a simulator over `program` that borrows its hot-path
@@ -497,8 +470,9 @@ impl<'p> Simulator<'p> {
         arena: &'p mut SimArena,
     ) -> Simulator<'p> {
         let SimArena { trace, core } = arena;
-        let stream = InstSource::Live(Box::new(Tracer::with_arena(program, cfg.max_insts, trace)));
-        Simulator::build(program, cfg, stream, Some(core))
+        let tracer = Tracer::with_arena(program, cfg.max_insts, trace);
+        let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
+        Simulator::build(program, cfg, insts, 0..0, Some(core))
     }
 
     /// Builds a simulator that replays a recorded [`TraceBuffer`]
@@ -513,8 +487,7 @@ impl<'p> Simulator<'p> {
     /// [cover](TraceBuffer::covers) `cfg.max_insts` (the replay would
     /// truncate earlier than a live trace).
     pub fn replay(program: &'p Program, cfg: SimConfig, trace: &'p TraceBuffer) -> Simulator<'p> {
-        let stream = Simulator::replay_source(&cfg, trace);
-        Simulator::build(program, cfg, stream, None)
+        Simulator::build_replay(program, cfg, trace, None)
     }
 
     /// [`Simulator::replay`] with arena-recycled buffers — the fastest
@@ -530,11 +503,17 @@ impl<'p> Simulator<'p> {
         trace: &'p TraceBuffer,
         arena: &'p mut SimArena,
     ) -> Simulator<'p> {
-        let stream = Simulator::replay_source(&cfg, trace);
-        Simulator::build(program, cfg, stream, Some(&mut arena.core))
+        Simulator::build_replay(program, cfg, trace, Some(&mut arena.core))
     }
 
-    fn replay_source(cfg: &SimConfig, trace: &'p TraceBuffer) -> InstSource<'p> {
+    /// A replay session over the first `cfg.max_insts` instructions of
+    /// `trace`.
+    fn build_replay(
+        program: &'p Program,
+        cfg: SimConfig,
+        trace: &'p TraceBuffer,
+        core: Option<&'p mut CoreBuffers>,
+    ) -> Simulator<'p> {
         assert!(
             trace.covers(cfg.max_insts),
             "trace recorded with budget {} cannot replay budget {}",
@@ -546,11 +525,8 @@ impl<'p> Simulator<'p> {
             limit <= u32::MAX as usize,
             "replay indices are 4 bytes; budget {limit} does not fit"
         );
-        InstSource::Replay {
-            insts: trace.insts(),
-            next: 0,
-            limit,
-        }
+        let insts = InstSupply::Replay(trace.insts(), InstPool::default());
+        Simulator::build(program, cfg, insts, 0..limit, core)
     }
 
     /// Builds a simulator over the half-open trace window
@@ -591,32 +567,30 @@ impl<'p> Simulator<'p> {
             end <= u32::MAX as usize,
             "replay indices are 4 bytes; window end {end} does not fit"
         );
-        let stream = InstSource::Replay {
-            insts,
-            next: offset,
-            limit: end,
-        };
-        let mut sim = Simulator::build(program, cfg, stream, core);
+        let supply = InstSupply::Replay(insts, InstPool::default());
+        let mut sim = Simulator::build(program, cfg, supply, offset..end, core);
         sim.cycle_cap = 1_000_000 + (len as u64).saturating_mul(300);
-        sim.timing_mem = mem;
-        sim.ssn = SsnCounters::seeded(sim.cfg.machine.ssn_bits, insts[offset].stores_before);
-        sim.hierarchy = warm.hierarchy.clone();
-        sim.bpred = warm.bpred.clone();
-        sim.btb = warm.btb.clone();
-        sim.ras = warm.ras.clone();
-        sim.path = warm.path;
-        sim.predictor = warm.predictor.clone();
-        sim.tssbf = warm.tssbf.clone();
+        let m = &mut sim.m;
+        m.timing_mem = mem;
+        m.ssn = SsnCounters::seeded(sim.cfg.machine.ssn_bits, insts[offset].stores_before);
+        m.hierarchy = warm.hierarchy.clone();
+        m.bpred = warm.bpred.clone();
+        m.btb = warm.btb.clone();
+        m.ras = warm.ras.clone();
+        m.path = warm.path;
+        m.predictor = warm.predictor.clone();
+        m.tssbf = warm.tssbf.clone();
         sim
     }
 
     fn build(
         program: &'p Program,
         cfg: SimConfig,
-        stream: InstSource<'p>,
+        mut insts: InstSupply<'p>,
+        cursor: std::ops::Range<usize>,
         core: Option<&'p mut CoreBuffers>,
     ) -> Simulator<'p> {
-        let m = &cfg.machine;
+        let mc = &cfg.machine;
         let mut arena_core = core;
         let mut bufs = match arena_core.as_deref_mut() {
             Some(c) => std::mem::take(c),
@@ -624,7 +598,7 @@ impl<'p> Simulator<'p> {
         };
         bufs.clear();
         let CoreBuffers {
-            insts,
+            insts: pool,
             mut rob,
             fetch,
             exits,
@@ -637,7 +611,8 @@ impl<'p> Simulator<'p> {
             node_waiters,
             srq,
         } = bufs;
-        rob.reserve(m.rob_size);
+        *insts.pool() = pool;
+        rob.reserve(mc.rob_size);
         let WarmState {
             hierarchy,
             bpred,
@@ -647,20 +622,12 @@ impl<'p> Simulator<'p> {
             predictor,
             tssbf,
         } = WarmState::new(&cfg);
-        let insts = match &stream {
-            InstSource::Live(_) => InstSlab::Pool(insts),
-            InstSource::Replay { insts: trace, .. } => InstSlab::Trace {
-                insts: trace,
-                pool: insts,
-            },
-        };
-        Simulator {
+        let m = Machine {
             clock: 0,
-            cycle_cap: 1_000_000 + cfg.max_insts.saturating_mul(300),
             next_uid: 0,
-            stream,
+            stream_next: cursor.start,
+            stream_limit: cursor.end,
             stream_done: false,
-            insts,
             pending,
             fetch_buffer: fetch,
             rob,
@@ -673,8 +640,7 @@ impl<'p> Simulator<'p> {
             iq_count: 0,
             lq_used: 0,
             sq_used: 0,
-            scratch,
-            regs: RegState::new(m.phys_regs),
+            regs: RegState::new(mc.phys_regs),
             timing_mem: program.initial_memory(),
             hierarchy,
             bpred,
@@ -684,7 +650,7 @@ impl<'p> Simulator<'p> {
             fetch_stall_until: 0,
             fetch_stalled_on: None,
             halt_fetched: false,
-            ssn: SsnCounters::new(m.ssn_bits),
+            ssn: SsnCounters::new(mc.ssn_bits),
             srq: StoreRegisterQueue::with_storage(srq, 8192),
             tssbf,
             predictor,
@@ -692,9 +658,15 @@ impl<'p> Simulator<'p> {
             draining_for_wrap: false,
             fault_bypass_seen: 0,
             stats: SimReport::default(),
-            observers: Vec::new(),
-            cfg,
             done: false,
+        };
+        Simulator {
+            cycle_cap: 1_000_000 + cfg.max_insts.saturating_mul(300),
+            cfg,
+            insts,
+            scratch,
+            m,
+            observers: Vec::new(),
             arena_core,
         }
     }
@@ -712,14 +684,14 @@ impl<'p> Simulator<'p> {
 
     /// Whether the program has run to completion.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.m.done
     }
 
     /// Live statistics for the session so far. `cycles` tracks the
     /// current clock, so derived metrics (e.g. [`SimReport::ipc`]) are
     /// meaningful mid-run.
     pub fn stats(&self) -> &SimReport {
-        &self.stats
+        &self.m.stats
     }
 
     /// Advances the pipeline by exactly one cycle. Returns `true` while
@@ -731,15 +703,15 @@ impl<'p> Simulator<'p> {
     /// Panics if the pipeline deadlocks (an internal invariant
     /// violation), bounded by a generous cycle cap.
     pub fn step(&mut self) -> bool {
-        if self.done {
+        if self.m.done {
             return false;
         }
-        self.clock += 1;
+        self.m.clock += 1;
         assert!(
-            self.clock < self.cycle_cap,
+            self.m.clock < self.cycle_cap,
             "pipeline deadlock at cycle {} (retired {} insts)",
-            self.clock,
-            self.stats.insts
+            self.m.clock,
+            self.m.stats.insts
         );
         self.drain_backend_exits();
         self.commit_stage();
@@ -748,15 +720,15 @@ impl<'p> Simulator<'p> {
         self.fetch_stage();
         self.wrap_stage();
         self.check_done();
-        self.stats.cycles = self.clock;
+        self.m.stats.cycles = self.m.clock;
         if !self.observers.is_empty() {
             let ev = CycleEvent {
-                cycle: self.clock,
-                insts: self.stats.insts,
+                cycle: self.m.clock,
+                insts: self.m.stats.insts,
             };
             self.emit(|o| o.on_cycle(&ev));
         }
-        !self.done
+        !self.m.done
     }
 
     /// Steps until `stop` is satisfied or the program completes,
@@ -765,12 +737,12 @@ impl<'p> Simulator<'p> {
         loop {
             let met = match &mut stop {
                 StopCondition::Done => false, // only completion stops it
-                StopCondition::Cycles(n) => self.clock >= *n,
-                StopCondition::Insts(n) => self.stats.insts >= *n,
-                StopCondition::Predicate(f) => f(&self.stats),
+                StopCondition::Cycles(n) => self.m.clock >= *n,
+                StopCondition::Insts(n) => self.m.stats.insts >= *n,
+                StopCondition::Predicate(f) => f(&self.m.stats),
             };
-            if met || self.done {
-                return self.done;
+            if met || self.m.done {
+                return self.m.done;
             }
             self.step();
         }
@@ -786,9 +758,10 @@ impl<'p> Simulator<'p> {
     /// attached (observer state is caller-owned and cannot be
     /// captured).
     pub fn checkpoint(&self) -> SimCheckpoint {
-        let InstSource::Replay { next, limit, .. } = &self.stream else {
-            panic!("checkpoint requires a replay session; live tracer state is not snapshottable");
-        };
+        assert!(
+            matches!(self.insts, InstSupply::Replay(..)),
+            "checkpoint requires a replay session; live tracer state is not snapshottable"
+        );
         assert!(
             self.observers.is_empty(),
             "checkpoint with attached observers is not supported"
@@ -796,42 +769,7 @@ impl<'p> Simulator<'p> {
         debug_assert!(self.scratch.is_empty(), "scratch is empty between steps");
         SimCheckpoint {
             cfg: self.cfg.clone(),
-            clock: self.clock,
-            next_uid: self.next_uid,
-            stream_next: *next,
-            stream_limit: *limit,
-            stream_done: self.stream_done,
-            pending: self.pending.clone(),
-            fetch_buffer: self.fetch_buffer.clone(),
-            rob: self.rob.clone(),
-            backend_exits: self.backend_exits.clone(),
-            iq_ready: self.iq_ready.clone(),
-            wheel: self.wheel.clone(),
-            waiters: self.waiters.clone(),
-            waiter_free: self.waiter_free.clone(),
-            node_waiters: self.node_waiters.clone(),
-            iq_count: self.iq_count,
-            lq_used: self.lq_used,
-            sq_used: self.sq_used,
-            regs: self.regs.clone(),
-            timing_mem: self.timing_mem.clone(),
-            hierarchy: self.hierarchy.clone(),
-            bpred: self.bpred.clone(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
-            path: self.path,
-            fetch_stall_until: self.fetch_stall_until,
-            fetch_stalled_on: self.fetch_stalled_on,
-            halt_fetched: self.halt_fetched,
-            ssn: self.ssn.clone(),
-            srq: self.srq.clone(),
-            tssbf: self.tssbf.clone(),
-            predictor: self.predictor.clone(),
-            storesets: self.storesets.clone(),
-            draining_for_wrap: self.draining_for_wrap,
-            fault_bypass_seen: self.fault_bypass_seen,
-            stats: self.stats,
-            done: self.done,
+            m: self.m.clone(),
         }
     }
 
@@ -874,52 +812,12 @@ impl<'p> Simulator<'p> {
         ckpt: &SimCheckpoint,
         core: Option<&'p mut CoreBuffers>,
     ) -> Simulator<'p> {
-        let stream = Simulator::replay_source(&ckpt.cfg, trace);
-        let InstSource::Replay { limit, .. } = &stream else {
-            unreachable!("replay_source builds a replay stream");
-        };
+        let mut sim = Simulator::build_replay(program, ckpt.cfg.clone(), trace, core);
         assert_eq!(
-            *limit, ckpt.stream_limit,
+            sim.m.stream_limit, ckpt.m.stream_limit,
             "checkpoint was taken against a different trace extent"
         );
-        let mut sim = Simulator::build(program, ckpt.cfg.clone(), stream, core);
-        if let InstSource::Replay { next, .. } = &mut sim.stream {
-            *next = ckpt.stream_next;
-        }
-        sim.clock = ckpt.clock;
-        sim.next_uid = ckpt.next_uid;
-        sim.stream_done = ckpt.stream_done;
-        sim.pending = ckpt.pending.clone();
-        sim.fetch_buffer = ckpt.fetch_buffer.clone();
-        sim.rob = ckpt.rob.clone();
-        sim.backend_exits = ckpt.backend_exits.clone();
-        sim.iq_ready = ckpt.iq_ready.clone();
-        sim.wheel = ckpt.wheel.clone();
-        sim.waiters = ckpt.waiters.clone();
-        sim.waiter_free = ckpt.waiter_free.clone();
-        sim.node_waiters = ckpt.node_waiters.clone();
-        sim.iq_count = ckpt.iq_count;
-        sim.lq_used = ckpt.lq_used;
-        sim.sq_used = ckpt.sq_used;
-        sim.regs = ckpt.regs.clone();
-        sim.timing_mem = ckpt.timing_mem.clone();
-        sim.hierarchy = ckpt.hierarchy.clone();
-        sim.bpred = ckpt.bpred.clone();
-        sim.btb = ckpt.btb.clone();
-        sim.ras = ckpt.ras.clone();
-        sim.path = ckpt.path;
-        sim.fetch_stall_until = ckpt.fetch_stall_until;
-        sim.fetch_stalled_on = ckpt.fetch_stalled_on;
-        sim.halt_fetched = ckpt.halt_fetched;
-        sim.ssn = ckpt.ssn.clone();
-        sim.srq = ckpt.srq.clone();
-        sim.tssbf = ckpt.tssbf.clone();
-        sim.predictor = ckpt.predictor.clone();
-        sim.storesets = ckpt.storesets.clone();
-        sim.draining_for_wrap = ckpt.draining_for_wrap;
-        sim.fault_bypass_seen = ckpt.fault_bypass_seen;
-        sim.stats = ckpt.stats;
-        sim.done = ckpt.done;
+        sim.m = ckpt.m.clone();
         sim
     }
 
@@ -931,7 +829,7 @@ impl<'p> Simulator<'p> {
     /// the arena here.
     pub fn finish(mut self) -> SimReport {
         self.release_buffers();
-        self.stats
+        self.m.stats
     }
 
     /// Returns the recyclable buffers to the arena, if this session
@@ -939,18 +837,18 @@ impl<'p> Simulator<'p> {
     fn release_buffers(&mut self) {
         if let Some(core) = self.arena_core.take() {
             *core = CoreBuffers {
-                insts: self.insts.take_pool(),
-                rob: std::mem::take(&mut self.rob),
-                fetch: std::mem::take(&mut self.fetch_buffer),
-                exits: std::mem::take(&mut self.backend_exits),
-                pending: std::mem::take(&mut self.pending),
+                insts: std::mem::take(self.insts.pool()),
+                rob: std::mem::take(&mut self.m.rob),
+                fetch: std::mem::take(&mut self.m.fetch_buffer),
+                exits: std::mem::take(&mut self.m.backend_exits),
+                pending: std::mem::take(&mut self.m.pending),
                 scratch: std::mem::take(&mut self.scratch),
-                iq_ready: std::mem::take(&mut self.iq_ready),
-                wheel: std::mem::take(&mut self.wheel),
-                waiters: std::mem::take(&mut self.waiters),
-                waiter_free: std::mem::take(&mut self.waiter_free),
-                node_waiters: std::mem::take(&mut self.node_waiters),
-                srq: std::mem::take(&mut self.srq).into_storage(),
+                iq_ready: std::mem::take(&mut self.m.iq_ready),
+                wheel: std::mem::take(&mut self.m.wheel),
+                waiters: std::mem::take(&mut self.m.waiters),
+                waiter_free: std::mem::take(&mut self.m.waiter_free),
+                node_waiters: std::mem::take(&mut self.m.node_waiters),
+                srq: std::mem::take(&mut self.m.srq).into_storage(),
             };
         }
     }
@@ -976,13 +874,13 @@ impl<'p> Simulator<'p> {
     }
 
     fn check_done(&mut self) {
-        if (self.stream_done || self.halt_fetched)
-            && self.pending.is_empty()
-            && self.fetch_buffer.is_empty()
-            && self.rob.is_empty()
-            && self.backend_exits.is_empty()
+        if (self.m.stream_done || self.m.halt_fetched)
+            && self.m.pending.is_empty()
+            && self.m.fetch_buffer.is_empty()
+            && self.m.rob.is_empty()
+            && self.m.backend_exits.is_empty()
         {
-            self.done = true;
+            self.m.done = true;
         }
     }
 
@@ -991,13 +889,14 @@ impl<'p> Simulator<'p> {
     }
 
     fn drain_backend_exits(&mut self) {
-        while self.backend_exits.front().is_some_and(|&t| t <= self.clock) {
-            self.backend_exits.pop_front();
+        let m = &mut self.m;
+        while m.backend_exits.front().is_some_and(|&t| t <= m.clock) {
+            m.backend_exits.pop_front();
         }
     }
 
     fn rob_occupancy(&self) -> usize {
-        self.rob.len() + self.backend_exits.len()
+        self.m.rob.len() + self.m.backend_exits.len()
     }
 
     // ----------------------------------------------------------------
@@ -1005,11 +904,11 @@ impl<'p> Simulator<'p> {
     // ----------------------------------------------------------------
 
     fn store_committed_visible(&self, ssn: Ssn) -> bool {
-        if ssn > self.ssn.commit() {
+        if ssn > self.m.ssn.commit() {
             return false;
         }
-        match self.srq.get(ssn) {
-            Some(info) => info.commit_visible <= self.clock,
+        match self.m.srq.get(ssn) {
+            Some(info) => info.commit_visible <= self.m.clock,
             None => true, // long committed, ring slot recycled
         }
     }
@@ -1018,8 +917,10 @@ impl<'p> Simulator<'p> {
         let mut dcache_port = 1u32;
         let mut committed = 0usize;
         while committed < self.cfg.machine.width {
-            let Some(head) = self.rob.front() else { break };
-            if head.complete_cycle > self.clock {
+            let Some(head) = self.m.rob.front() else {
+                break;
+            };
+            if head.complete_cycle > self.m.clock {
                 break;
             }
             let class = head.class;
@@ -1033,9 +934,10 @@ impl<'p> Simulator<'p> {
                 break;
             }
 
-            let entry = self.rob.pop_front().expect("head exists");
-            self.backend_exits
-                .push_back(self.clock + self.backend_depth());
+            let entry = self.m.rob.pop_front().expect("head exists");
+            self.m
+                .backend_exits
+                .push_back(self.m.clock + self.backend_depth());
             committed += 1;
 
             let mut squash = false;
@@ -1056,18 +958,18 @@ impl<'p> Simulator<'p> {
             self.retire_bookkeeping(&entry);
             if !self.observers.is_empty() {
                 let ev = CommitEvent {
-                    cycle: self.clock,
+                    cycle: self.m.clock,
                     pc: self.insts[entry.inst].pc,
                     class,
                 };
                 self.emit(|o| o.on_commit(&ev));
             }
             if squash {
-                let squashed = (self.rob.len() + self.fetch_buffer.len()) as u64;
+                let squashed = (self.m.rob.len() + self.m.fetch_buffer.len()) as u64;
                 self.squash_younger_than_head();
                 if !self.observers.is_empty() {
                     let ev = SquashEvent {
-                        cycle: self.clock,
+                        cycle: self.m.clock,
                         cause: if self.cfg.lsu.is_nosq() {
                             SquashCause::BypassMispredict
                         } else {
@@ -1096,23 +998,23 @@ impl<'p> Simulator<'p> {
                 d.store_mem_bits(),
             )
         };
-        self.timing_mem.write(addr, width, store_mem_bits);
-        self.tssbf.record_store(addr, width as u8, entry.ssn);
-        self.hierarchy.store_commit(addr);
-        self.ssn.commit_store();
-        let visible = self.clock + self.backend_depth() - 2;
-        if let Some(info) = self.srq.get_mut(entry.ssn) {
+        self.m.timing_mem.write(addr, width, store_mem_bits);
+        self.m.tssbf.record_store(addr, width as u8, entry.ssn);
+        self.m.hierarchy.store_commit(addr);
+        self.m.ssn.commit_store();
+        let visible = self.m.clock + self.backend_depth() - 2;
+        if let Some(info) = self.m.srq.get_mut(entry.ssn) {
             info.commit_visible = visible;
         }
-        self.stats.memory.stores += 1;
+        self.m.stats.memory.stores += 1;
         if entry.holds_sq {
-            self.sq_used -= 1;
+            self.m.sq_used -= 1;
         }
         // NoSQ stores release their data-register pin here (the commit
         // pipeline has now read the register file).
         if self.cfg.lsu.is_nosq() {
             if let Some(node) = entry.store_data_ref {
-                self.regs.release(node);
+                self.m.regs.release(node);
             }
         }
     }
@@ -1131,14 +1033,10 @@ impl<'p> Simulator<'p> {
         }
         let d = &self.insts[entry.inst];
         let width = d.inst.mem_width().expect("load width").bytes() as u8;
+        let tssbf = &self.m.tssbf;
         match ls.mode {
-            LoadMode::Bypassed { .. } => {
-                self.tssbf
-                    .must_reexecute_equality(d.addr, width, ls.ssn_nvul)
-            }
-            _ => self
-                .tssbf
-                .must_reexecute_inequality(d.addr, width, ls.ssn_nvul),
+            LoadMode::Bypassed { .. } => tssbf.must_reexecute_equality(d.addr, width, ls.ssn_nvul),
+            _ => tssbf.must_reexecute_inequality(d.addr, width, ls.ssn_nvul),
         }
     }
 
@@ -1148,42 +1046,42 @@ impl<'p> Simulator<'p> {
         let ls = entry.load.as_ref().expect("load state");
         let d = self.insts[entry.inst]; // one local copy per committed load
         let width = d.inst.mem_width().expect("load width");
-        self.stats.memory.loads += 1;
+        self.m.stats.memory.loads += 1;
         if let Some(dep) = d.mem_dep {
             if (dep.inst_distance as usize) < self.cfg.machine.rob_size {
-                self.stats.memory.comm_loads += 1;
+                self.m.stats.memory.comm_loads += 1;
                 if d.is_partial_word_comm() {
-                    self.stats.memory.partial_comm_loads += 1;
+                    self.m.stats.memory.partial_comm_loads += 1;
                 }
             }
         }
         if entry.holds_lq {
-            self.lq_used -= 1;
+            self.m.lq_used -= 1;
         }
         if ls.oracle {
-            self.stats.verification.reexec_filtered += 1;
+            self.m.stats.verification.reexec_filtered += 1;
             self.emit_load_commit(&d, ls, false, false);
             return false;
         }
 
         let mut mispredict = false;
         if reexec {
-            self.stats.verification.backend_dcache_reads += 1;
+            self.m.stats.verification.backend_dcache_reads += 1;
             // All older stores have committed: this read is correct.
-            let raw = self.timing_mem.read(d.addr, width.bytes());
+            let raw = self.m.timing_mem.read(d.addr, width.bytes());
             let ext = match d.inst {
                 Inst::Load { ext, .. } => ext,
                 _ => unreachable!("load entry holds a load"),
             };
             let ndata = load_extend(raw, width, ext);
             debug_assert_eq!(ndata, d.load_value(), "re-execution must be correct");
-            self.hierarchy.load_latency(d.addr); // cache state effects
+            self.m.hierarchy.load_latency(d.addr); // cache state effects
             if ndata != ls.exec_value {
                 mispredict = true;
             }
             if !self.observers.is_empty() {
                 let ev = ReexecEvent {
-                    cycle: self.clock,
+                    cycle: self.m.clock,
                     pc: d.pc,
                     addr: d.addr,
                     mismatch: mispredict,
@@ -1191,14 +1089,14 @@ impl<'p> Simulator<'p> {
                 self.emit(|o| o.on_reexec(&ev));
             }
         } else {
-            self.stats.verification.reexec_filtered += 1;
+            self.m.stats.verification.reexec_filtered += 1;
             // The filter said the value is provably correct — except for a
             // predicted shift, which is verified without replay (§3.5).
             // Injected loads skip even the shift check: the modelled
             // filter bug vouches for them unconditionally.
             if !ls.injected {
                 if let LoadMode::Bypassed { .. } = ls.mode {
-                    if let TssbfLookup::Hit(e) = self.tssbf.lookup(d.addr, width.bytes() as u8) {
+                    if let TssbfLookup::Hit(e) = self.m.tssbf.lookup(d.addr, width.bytes() as u8) {
                         let actual_shift = d.addr.wrapping_sub(e.store_addr()) as u8;
                         let predicted_shift = ls.pred.map(|p| p.shift).unwrap_or(0);
                         if actual_shift != predicted_shift {
@@ -1219,10 +1117,10 @@ impl<'p> Simulator<'p> {
         match self.cfg.lsu {
             LsuModel::BaselineSq { .. } => {
                 if mispredict {
-                    self.stats.verification.ordering_squashes += 1;
+                    self.m.stats.verification.ordering_squashes += 1;
                     if let Some(dep_ssn) = d.dep_ssn() {
-                        if let Some(info) = self.srq.get(Ssn(dep_ssn)) {
-                            self.storesets.train_violation(d.pc, info.pc);
+                        if let Some(info) = self.m.srq.get(Ssn(dep_ssn)) {
+                            self.m.storesets.train_violation(d.pc, info.pc);
                         }
                     }
                 }
@@ -1246,7 +1144,7 @@ impl<'p> Simulator<'p> {
             LoadMode::Bypassed { partial } => CommittedLoadKind::Bypassed { partial },
         };
         let ev = LoadCommitEvent {
-            cycle: self.clock,
+            cycle: self.m.clock,
             seq: d.seq,
             pc: d.pc,
             addr: d.addr,
@@ -1273,12 +1171,12 @@ impl<'p> Simulator<'p> {
         let mut history = PathHistory::new();
         history.restore(entry.path_snap);
         if mispredict {
-            self.stats.verification.bypass_mispredicts += 1;
+            self.m.stats.verification.bypass_mispredicts += 1;
             let width = d.inst.mem_width().expect("load width").bytes() as u8;
             // Compute the actual distance/shift from the T-SSBF (§3.1:
             // distbyp = SSNcommit − T-SSBF[addr]; at the load's commit
             // SSNcommit equals its rename-time SSNrename).
-            let actual = match self.tssbf.lookup(d.addr, width) {
+            let actual = match self.m.tssbf.lookup(d.addr, width) {
                 TssbfLookup::Hit(e) => {
                     let dist = d.stores_before.saturating_sub(e.ssn.0);
                     if dist <= 63 {
@@ -1295,19 +1193,20 @@ impl<'p> Simulator<'p> {
                 _ => None,
             };
             let had_path = ls.pred.map(|p| p.path_sensitive).unwrap_or(false);
-            self.predictor
+            self.m
+                .predictor
                 .train_mispredict(d.pc, &history, had_path, actual);
         } else if ls.pred.is_some() {
-            self.predictor.train_correct(d.pc, &history);
+            self.m.predictor.train_correct(d.pc, &history);
         }
     }
 
     /// Frees rename-side resources for a retiring entry.
     fn retire_bookkeeping(&mut self, entry: &Entry) {
-        self.stats.insts += 1;
+        self.m.stats.insts += 1;
         if entry.map_reg.is_some() {
             if let Some(prev) = entry.prev_node {
-                self.regs.release(prev);
+                self.m.regs.release(prev);
             }
         }
     }
@@ -1323,78 +1222,70 @@ impl<'p> Simulator<'p> {
         // Drain the ROB into the reusable scratch, then walk it in
         // reverse for rename rollback.
         debug_assert!(self.scratch.is_empty());
-        while let Some(e) = self.rob.pop_front() {
+        while let Some(e) = self.m.rob.pop_front() {
             self.scratch.push(e);
         }
-        self.iq_ready.clear();
-        self.wheel.clear();
-        self.waiters.clear();
-        self.waiter_free.clear();
-        self.node_waiters.clear();
-        self.iq_count = 0;
+        self.m.iq_ready.clear();
+        self.m.wheel.clear();
+        self.m.waiters.clear();
+        self.m.waiter_free.clear();
+        self.m.node_waiters.clear();
+        self.m.iq_count = 0;
         for e in self.scratch.iter().rev() {
             if let Some(reg) = e.map_reg {
-                self.regs.remap(reg, e.prev_node);
+                self.m.regs.remap(reg, e.prev_node);
                 if let Some(node) = e.map_node {
-                    self.regs.release(node);
+                    self.m.regs.release(node);
                 }
             }
             if e.holds_lq {
-                self.lq_used -= 1;
+                self.m.lq_used -= 1;
             }
             if e.holds_sq {
-                self.sq_used -= 1;
+                self.m.sq_used -= 1;
             }
             if e.class == InstClass::Store {
                 if let Some(node) = e.store_data_ref {
                     // Baseline releases at execute; if unexecuted (or
                     // NoSQ, which releases at commit), release now.
                     if self.cfg.lsu.is_nosq() || !e.issued {
-                        self.regs.release(node);
+                        self.m.regs.release(node);
                     }
                 }
-                self.srq.invalidate(e.ssn);
-                self.storesets.store_resolved(self.insts[e.inst].pc, e.ssn);
+                self.m.srq.invalidate(e.ssn);
+                self.m
+                    .storesets
+                    .store_resolved(self.insts[e.inst].pc, e.ssn);
             }
         }
-        // Roll the rename SSN back to the squash point.
-        if let Some(first) = self.scratch.first() {
-            self.ssn
-                .rollback_rename(Ssn(self.insts[first.inst].stores_before));
-        } else if let Some(fb) = self.fetch_buffer.front() {
-            self.ssn
-                .rollback_rename(Ssn(self.insts[fb.inst].stores_before));
+        // Roll the rename SSN back to the oldest squashed instruction and
+        // restore the front end's speculative state to its snapshots.
+        let fetched = self.m.fetch_buffer.front();
+        let oldest = match self.scratch.first() {
+            Some(e) => Some((e.inst, e.path_snap, e.bpred_snap, e.ras_snap)),
+            None => fetched.map(|f| (f.inst, f.path_snap, f.bpred_snap, f.ras_snap)),
+        };
+        if let Some((inst, path, bh, ras)) = oldest {
+            let squash_point = Ssn(self.insts[inst].stores_before);
+            self.m.ssn.rollback_rename(squash_point);
+            self.m.path.restore(path);
+            self.m.bpred.set_history(bh);
+            self.m.ras.restore(ras);
         }
-        // Restore front-end speculative state to the oldest squashed
-        // instruction's snapshots.
-        let front_snap = self
-            .scratch
-            .first()
-            .map(|e| (e.path_snap, e.bpred_snap, e.ras_snap))
-            .or_else(|| {
-                self.fetch_buffer
-                    .front()
-                    .map(|f| (f.path_snap, f.bpred_snap, f.ras_snap))
-            });
-        if let Some((path, bh, ras)) = front_snap {
-            self.path.restore(path);
-            self.bpred.set_history(bh);
-            self.ras.restore(ras);
-        }
-        // Re-queue pool indices in program order: youngest first onto
+        // Re-queue instruction indices in program order: youngest first onto
         // the front, so the queue reads oldest-to-youngest.
-        while let Some(f) = self.fetch_buffer.pop_back() {
-            self.pending.push_front(f.inst);
+        while let Some(f) = self.m.fetch_buffer.pop_back() {
+            self.m.pending.push_front(f.inst);
         }
         for e in self.scratch.drain(..).rev() {
-            self.pending.push_front(e.inst);
+            self.m.pending.push_front(e.inst);
         }
-        self.fetch_stalled_on = None;
+        self.m.fetch_stalled_on = None;
         // A squashed halt returns to `pending` and must be refetched.
-        self.halt_fetched = false;
+        self.m.halt_fetched = false;
         // Mis-speculation is detected at the end of the back-end pipe;
         // refetch begins after the redirect.
-        self.fetch_stall_until = self.clock + self.backend_depth() - 1;
+        self.m.fetch_stall_until = self.m.clock + self.backend_depth() - 1;
     }
 
     // ----------------------------------------------------------------
@@ -1405,22 +1296,22 @@ impl<'p> Simulator<'p> {
     /// tier: eligible now, wheel (known future ready), or parked on an
     /// unissued producer's node.
     fn iq_insert(&mut self, pos: u64, class: InstClass, srcs: [Option<NodeId>; 2]) {
-        self.iq_count += 1;
+        self.m.iq_count += 1;
         let ready = srcs
             .iter()
             .flatten()
-            .map(|&n| self.regs.ready(Some(n)))
+            .map(|&n| self.m.regs.ready(Some(n)))
             .max()
             .unwrap_or(0);
         if ready == u64::MAX {
             self.park(pos, class, srcs);
-        } else if ready > self.clock {
-            self.wheel.push(WheelEntry { ready, pos, class });
+        } else if ready > self.m.clock {
+            self.m.wheel.push(WheelEntry { ready, pos, class });
         } else {
             // Dispatch order is age order, so a plain push keeps
             // `iq_ready` sorted (the new position is the largest).
-            debug_assert!(self.iq_ready.last().is_none_or(|c| c.pos < pos));
-            self.iq_ready.push(ReadyCand { pos, class });
+            debug_assert!(self.m.iq_ready.last().is_none_or(|c| c.pos < pos));
+            self.m.iq_ready.push(ReadyCand { pos, class });
         }
     }
 
@@ -1430,29 +1321,29 @@ impl<'p> Simulator<'p> {
             .iter()
             .flatten()
             .copied()
-            .find(|&n| self.regs.ready(Some(n)) == u64::MAX)
+            .find(|&n| self.m.regs.ready(Some(n)) == u64::MAX)
             .expect("parked candidate has an unready source");
         let node = node as usize;
-        if node >= self.node_waiters.len() {
-            self.node_waiters.resize(node + 1, NO_WAITER);
+        if node >= self.m.node_waiters.len() {
+            self.m.node_waiters.resize(node + 1, NO_WAITER);
         }
         let w = Waiter {
             pos,
             class,
             srcs,
-            next: self.node_waiters[node],
+            next: self.m.node_waiters[node],
         };
-        let idx = match self.waiter_free.pop() {
+        let idx = match self.m.waiter_free.pop() {
             Some(i) => {
-                self.waiters[i as usize] = w;
+                self.m.waiters[i as usize] = w;
                 i
             }
             None => {
-                self.waiters.push(w);
-                (self.waiters.len() - 1) as u32
+                self.m.waiters.push(w);
+                (self.m.waiters.len() - 1) as u32
             }
         };
-        self.node_waiters[node] = idx;
+        self.m.node_waiters[node] = idx;
     }
 
     /// Wakes every candidate parked on `node` after its ready cycle was
@@ -1461,26 +1352,26 @@ impl<'p> Simulator<'p> {
     /// execution latency is ≥ 1, so no candidate can become eligible in
     /// the cycle its producer issues).
     fn wake_node(&mut self, node: NodeId) {
-        let Some(head) = self.node_waiters.get_mut(node as usize) else {
+        let Some(head) = self.m.node_waiters.get_mut(node as usize) else {
             return;
         };
         let mut idx = std::mem::replace(head, NO_WAITER);
         while idx != NO_WAITER {
-            let w = self.waiters[idx as usize];
-            self.waiter_free.push(idx);
+            let w = self.m.waiters[idx as usize];
+            self.m.waiter_free.push(idx);
             idx = w.next;
             let ready = w
                 .srcs
                 .iter()
                 .flatten()
-                .map(|&n| self.regs.ready(Some(n)))
+                .map(|&n| self.m.regs.ready(Some(n)))
                 .max()
                 .unwrap_or(0);
             if ready == u64::MAX {
                 self.park(w.pos, w.class, w.srcs);
             } else {
-                debug_assert!(ready > self.clock, "producer latency must be >= 1");
-                self.wheel.push(WheelEntry {
+                debug_assert!(ready > self.m.clock, "producer latency must be >= 1");
+                self.m.wheel.push(WheelEntry {
                     ready,
                     pos: w.pos,
                     class: w.class,
@@ -1494,17 +1385,14 @@ impl<'p> Simulator<'p> {
     /// candidate — the list is small and drains are ~1-2 entries, so
     /// this beats re-sorting it).
     fn drain_wheel(&mut self) {
-        while self
-            .wheel
-            .peek()
-            .is_some_and(|entry| entry.ready <= self.clock)
-        {
-            let entry = self.wheel.pop().expect("peeked");
-            let at = match self.iq_ready.binary_search_by_key(&entry.pos, |c| c.pos) {
+        let m = &mut self.m;
+        while m.wheel.peek().is_some_and(|entry| entry.ready <= m.clock) {
+            let entry = m.wheel.pop().expect("peeked");
+            let at = match m.iq_ready.binary_search_by_key(&entry.pos, |c| c.pos) {
                 Err(i) => i,
                 Ok(_) => unreachable!("ROB positions are unique"),
             };
-            self.iq_ready.insert(
+            m.iq_ready.insert(
                 at,
                 ReadyCand {
                     pos: entry.pos,
@@ -1527,11 +1415,11 @@ impl<'p> Simulator<'p> {
         // Walk the eligible candidates (ascending ROB positions = age
         // order); waiting instructions cost nothing here.
         let mut i = 0;
-        while i < self.iq_ready.len() {
+        while i < self.m.iq_ready.len() {
             if total == 0 {
                 break;
             }
-            let ReadyCand { pos, class } = self.iq_ready[i];
+            let ReadyCand { pos, class } = self.m.iq_ready[i];
             let slot = match class {
                 InstClass::SimpleInt | InstClass::Halt => &mut simple,
                 InstClass::Complex => &mut complex,
@@ -1550,15 +1438,15 @@ impl<'p> Simulator<'p> {
             }
             *slot -= 1;
             total -= 1;
-            self.iq_ready.remove(i);
-            self.iq_count -= 1;
+            self.m.iq_ready.remove(i);
+            self.m.iq_count -= 1;
             self.do_issue(pos);
         }
     }
 
     /// Load-specific scheduling gates; may rewrite the load's wait state.
     fn load_may_issue(&mut self, pos: u64) -> bool {
-        let e = self.rob.get_abs(pos).expect("load resident");
+        let e = self.m.rob.get_abs(pos).expect("load resident");
         let inst_idx = e.inst;
         let ls = e.load.as_ref().expect("load state");
         if let Some(ssn) = ls.wait_commit {
@@ -1567,9 +1455,9 @@ impl<'p> Simulator<'p> {
             }
         }
         if let Some(ssn) = ls.wait_exec {
-            if ssn > self.ssn.commit() {
-                match self.srq.get(ssn) {
-                    Some(info) if info.exec_cycle > self.clock => {
+            if ssn > self.m.ssn.commit() {
+                match self.m.srq.get(ssn) {
+                    Some(info) if info.exec_cycle > self.m.clock => {
                         // The perfect-scheduling oracle waits only when
                         // issuing now would actually produce a wrong value:
                         // if the stale memory image already matches the
@@ -1585,7 +1473,7 @@ impl<'p> Simulator<'p> {
                             let d = &self.insts[inst_idx];
                             if let Inst::Load { width, ext, .. } = d.inst {
                                 let stale = load_extend(
-                                    self.timing_mem.read(d.addr, width.bytes()),
+                                    self.m.timing_mem.read(d.addr, width.bytes()),
                                     width,
                                     ext,
                                 );
@@ -1607,18 +1495,18 @@ impl<'p> Simulator<'p> {
         if !self.cfg.lsu.is_nosq() {
             let wait_commit_unset = ls.wait_commit.is_none();
             if let Some(dep_ssn) = self.insts[inst_idx].dep_ssn().map(Ssn) {
-                if dep_ssn > self.ssn.commit() && wait_commit_unset {
-                    if let Some(info) = self.srq.get(dep_ssn) {
-                        if info.exec_cycle <= self.clock {
+                if dep_ssn > self.m.ssn.commit() && wait_commit_unset {
+                    if let Some(info) = self.m.srq.get(dep_ssn) {
+                        if info.exec_cycle <= self.m.clock {
                             let coverage =
                                 self.insts[inst_idx].mem_dep.expect("dep exists").coverage;
                             if coverage == Coverage::Partial {
-                                let e = self.rob.get_abs_mut(pos).expect("load resident");
+                                let e = self.m.rob.get_abs_mut(pos).expect("load resident");
                                 let ls = e.load.as_mut().expect("load");
                                 ls.wait_commit = Some(dep_ssn);
                                 return false;
                             }
-                            if self.regs.ready(info.dtag_node) > self.clock {
+                            if self.m.regs.ready(info.dtag_node) > self.m.clock {
                                 return false; // forward data not ready yet
                             }
                         }
@@ -1631,7 +1519,7 @@ impl<'p> Simulator<'p> {
 
     fn do_issue(&mut self, pos: u64) {
         let rr = self.cfg.machine.regread_depth;
-        let e = self.rob.get_abs(pos).expect("issued entry resident");
+        let e = self.m.rob.get_abs(pos).expect("issued entry resident");
         let inst_idx = e.inst;
         let class = e.class;
         let alu = match self.insts[inst_idx].inst {
@@ -1647,42 +1535,42 @@ impl<'p> Simulator<'p> {
                 LoadMode::Bypassed { .. } => (1, 0), // shift & mask uop
                 _ => {
                     let addr = self.insts[inst_idx].addr;
-                    let lat = self.hierarchy.load_latency(addr);
-                    self.stats.memory.ooo_dcache_reads += 1;
+                    let lat = self.m.hierarchy.load_latency(addr);
+                    self.m.stats.memory.ooo_dcache_reads += 1;
                     (1 + lat, 0)
                 }
             },
             _ => (self.cfg.machine.exec_latency(class, alu), 0u64),
         };
-        let complete = self.clock + rr + exec_total + extra;
+        let complete = self.m.clock + rr + exec_total + extra;
 
-        let e = self.rob.get_abs_mut(pos).expect("issued entry resident");
+        let e = self.m.rob.get_abs_mut(pos).expect("issued entry resident");
         e.issued = true;
         e.complete_cycle = complete;
         let map_node = e.map_node;
         let ssn = e.ssn;
         if let Some(node) = map_node {
-            self.regs.set_ready(node, self.clock + exec_total);
+            self.m.regs.set_ready(node, self.m.clock + exec_total);
             self.wake_node(node);
         }
 
         match class {
-            InstClass::Branch if was_mispredicted && self.fetch_stalled_on == Some(uid) => {
-                self.fetch_stalled_on = None;
-                self.fetch_stall_until = complete;
+            InstClass::Branch if was_mispredicted && self.m.fetch_stalled_on == Some(uid) => {
+                self.m.fetch_stalled_on = None;
+                self.m.fetch_stall_until = complete;
             }
             InstClass::Branch => {}
             InstClass::Store => {
                 // Baseline store execution: address generation + data
                 // capture; the captured register pin is released.
                 let pc = self.insts[inst_idx].pc;
-                if let Some(info) = self.srq.get_mut(ssn) {
+                if let Some(info) = self.m.srq.get_mut(ssn) {
                     info.exec_cycle = complete;
                 }
-                self.storesets.store_resolved(pc, ssn);
-                let e = self.rob.get_abs_mut(pos).expect("store resident");
+                self.m.storesets.store_resolved(pc, ssn);
+                let e = self.m.rob.get_abs_mut(pos).expect("store resident");
                 if let Some(node) = e.store_data_ref.take() {
-                    self.regs.release(node);
+                    self.m.regs.release(node);
                 }
             }
             InstClass::Load => self.execute_load(pos),
@@ -1694,7 +1582,7 @@ impl<'p> Simulator<'p> {
     /// memory image (stale if an in-flight store should have fed it), or
     /// forwards from the producing store in the baseline.
     fn execute_load(&mut self, pos: u64) {
-        let e = self.rob.get_abs(pos).expect("load resident");
+        let e = self.m.rob.get_abs(pos).expect("load resident");
         let mode = e.load.as_ref().expect("load state").mode;
         if let LoadMode::Bypassed { .. } = mode {
             return; // value was computed at rename
@@ -1705,22 +1593,22 @@ impl<'p> Simulator<'p> {
             _ => unreachable!("load entry"),
         };
 
-        let mut exec_value = load_extend(self.timing_mem.read(d.addr, width.bytes()), width, ext);
-        let mut ssn_nvul = self.ssn.commit();
+        let mut exec_value = load_extend(self.m.timing_mem.read(d.addr, width.bytes()), width, ext);
+        let mut ssn_nvul = self.m.ssn.commit();
         if !self.cfg.lsu.is_nosq() {
             if let Some(dep_ssn) = d.dep_ssn().map(Ssn) {
-                if dep_ssn > self.ssn.commit() {
-                    if let Some(info) = self.srq.get(dep_ssn) {
+                if dep_ssn > self.m.ssn.commit() {
+                    if let Some(info) = self.m.srq.get(dep_ssn) {
                         let full = d.mem_dep.expect("dep").coverage == Coverage::Full;
-                        if info.exec_cycle <= self.clock
+                        if info.exec_cycle <= self.m.clock
                             && full
-                            && self.regs.ready(info.dtag_node) <= self.clock
+                            && self.m.regs.ready(info.dtag_node) <= self.m.clock
                         {
                             // Store-queue forwarding: correct by
                             // construction (address-checked).
                             exec_value = d.load_value();
                             ssn_nvul = dep_ssn;
-                            self.stats.memory.sq_forwards += 1;
+                            self.m.stats.memory.sq_forwards += 1;
                         }
                         // Otherwise: the load speculated past an
                         // unexecuted store; exec_value is stale and SVW
@@ -1729,7 +1617,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        let e = self.rob.get_abs_mut(pos).expect("load resident");
+        let e = self.m.rob.get_abs_mut(pos).expect("load resident");
         let ls = e.load.as_mut().expect("load state");
         ls.exec_value = exec_value;
         ls.ssn_nvul = ssn_nvul;
@@ -1740,14 +1628,14 @@ impl<'p> Simulator<'p> {
     // ----------------------------------------------------------------
 
     fn dispatch_stage(&mut self) {
-        if self.draining_for_wrap {
+        if self.m.draining_for_wrap {
             return;
         }
         for _ in 0..self.cfg.machine.width {
-            let Some(f) = self.fetch_buffer.front() else {
+            let Some(f) = self.m.fetch_buffer.front() else {
                 break;
             };
-            if f.fetch_cycle + self.cfg.machine.front_depth > self.clock {
+            if f.fetch_cycle + self.cfg.machine.front_depth > self.m.clock {
                 break;
             }
             if !self.dispatch_one() {
@@ -1764,7 +1652,7 @@ impl<'p> Simulator<'p> {
         if self.rob_occupancy() >= rob_size {
             return false;
         }
-        let f = self.fetch_buffer.front().expect("caller checked");
+        let f = self.m.fetch_buffer.front().expect("caller checked");
         let inst_idx = f.inst;
         let path_snap = f.path_snap;
         let (class, needs_dest, is_jump) = {
@@ -1789,8 +1677,8 @@ impl<'p> Simulator<'p> {
                     needs_iq = false;
                 } else {
                     needs_sq = true;
-                    if self.sq_used >= sq_size {
-                        self.stats.stalls.sq_dispatch_stalls += 1;
+                    if self.m.sq_used >= sq_size {
+                        self.m.stats.stalls.sq_dispatch_stalls += 1;
                         return false;
                     }
                 }
@@ -1798,7 +1686,7 @@ impl<'p> Simulator<'p> {
             InstClass::Load => {
                 if !is_nosq {
                     needs_lq = true;
-                    if self.lq_used >= lq_size {
+                    if self.m.lq_used >= lq_size {
                         return false;
                     }
                 } else {
@@ -1813,8 +1701,8 @@ impl<'p> Simulator<'p> {
             _ => {}
         }
 
-        if needs_iq && self.iq_count >= iq_size {
-            self.stats.stalls.iq_dispatch_stalls += 1;
+        if needs_iq && self.m.iq_count >= iq_size {
+            self.m.stats.stalls.iq_dispatch_stalls += 1;
             return false;
         }
         let pure_bypass = matches!(
@@ -1824,13 +1712,13 @@ impl<'p> Simulator<'p> {
                 ..
             })
         );
-        if needs_dest && !pure_bypass && !self.regs.can_alloc() {
-            self.stats.stalls.reg_dispatch_stalls += 1;
+        if needs_dest && !pure_bypass && !self.m.regs.can_alloc() {
+            self.m.stats.stalls.reg_dispatch_stalls += 1;
             return false;
         }
 
         // --- Commit the dispatch ---
-        let f = self.fetch_buffer.pop_front().expect("still present");
+        let f = self.m.fetch_buffer.pop_front().expect("still present");
         let srcs = self.rename_sources(inst_idx, &load_plan);
         let mut entry = Entry {
             uid: f.uid,
@@ -1844,7 +1732,7 @@ impl<'p> Simulator<'p> {
             prev_node: None,
             srcs,
             issued: false,
-            complete_cycle: if needs_iq { u64::MAX } else { self.clock },
+            complete_cycle: if needs_iq { u64::MAX } else { self.m.clock },
             mispredicted_branch: f.mispredicted_branch,
             ssn: Ssn::NONE,
             load: None,
@@ -1853,10 +1741,10 @@ impl<'p> Simulator<'p> {
             store_data_ref: None,
         };
         if needs_lq {
-            self.lq_used += 1;
+            self.m.lq_used += 1;
         }
         if needs_sq {
-            self.sq_used += 1;
+            self.m.sq_used += 1;
         }
 
         match class {
@@ -1864,14 +1752,14 @@ impl<'p> Simulator<'p> {
             InstClass::Load => self.dispatch_load(&mut entry, load_plan.take()),
             _ => {
                 if let Some(rd) = self.insts[inst_idx].inst.dest() {
-                    let node = self.regs.alloc();
-                    entry.prev_node = self.regs.remap(rd, Some(node));
+                    let node = self.m.regs.alloc();
+                    entry.prev_node = self.m.regs.remap(rd, Some(node));
                     entry.map_reg = Some(rd);
                     entry.map_node = Some(node);
                 }
             }
         }
-        let pos = self.rob.next_pos();
+        let pos = self.m.rob.next_pos();
         if needs_iq {
             // Issue class: partial bypasses occupy a simple-int slot for
             // the injected shift & mask instruction.
@@ -1887,7 +1775,7 @@ impl<'p> Simulator<'p> {
             };
             self.iq_insert(pos, issue_class, entry.srcs);
         }
-        self.rob.push_back(entry);
+        self.m.rob.push_back(entry);
         true
     }
 
@@ -1904,7 +1792,7 @@ impl<'p> Simulator<'p> {
         let mut srcs = [None, None];
         for (i, reg) in self.insts[inst_idx].inst.sources().into_iter().enumerate() {
             if let Some(r) = reg {
-                srcs[i] = self.regs.mapping(r);
+                srcs[i] = self.m.regs.mapping(r);
             }
         }
         srcs
@@ -1931,15 +1819,15 @@ impl<'p> Simulator<'p> {
                 _ => unreachable!("store entry"),
             }
         };
-        let ssn = self.ssn.next_rename();
+        let ssn = self.m.ssn.next_rename();
         debug_assert_eq!(ssn.0, stores_before + 1, "ssn tracks the trace");
         entry.ssn = ssn;
-        let dtag_node = self.regs.mapping(data_reg);
+        let dtag_node = self.m.regs.mapping(data_reg);
         if let Some(node) = dtag_node {
-            self.regs.add_ref(node); // pinned until capture (baseline) or commit (NoSQ)
+            self.m.regs.add_ref(node); // pinned until capture (baseline) or commit (NoSQ)
             entry.store_data_ref = Some(node);
         }
-        self.srq.insert(StoreInfo {
+        self.m.srq.insert(StoreInfo {
             ssn,
             pc,
             addr,
@@ -1951,11 +1839,11 @@ impl<'p> Simulator<'p> {
             commit_visible: u64::MAX,
         });
         if !self.cfg.lsu.is_nosq() {
-            self.storesets.rename_store(pc, ssn);
+            self.m.storesets.rename_store(pc, ssn);
         }
         // NoSQ: the store is complete at rename (Table 3: "nothing!").
         if self.cfg.lsu.is_nosq() {
-            entry.complete_cycle = self.clock;
+            entry.complete_cycle = self.m.clock;
         }
     }
 
@@ -1969,7 +1857,7 @@ impl<'p> Simulator<'p> {
             // Perfect SMB: bypass exactly the loads with an in-flight
             // producing store, with idealized partial-word support.
             if let Some(dep_ssn) = dep_ssn.map(Ssn) {
-                if dep_ssn > self.ssn.commit() {
+                if dep_ssn > self.m.ssn.commit() {
                     return LoadPlan {
                         mode: LoadMode::Bypassed { partial: false },
                         pred: None,
@@ -1983,12 +1871,12 @@ impl<'p> Simulator<'p> {
         let delay_enabled = matches!(self.cfg.lsu, LsuModel::Nosq { delay: true });
         let mut history = PathHistory::new();
         history.restore(path_snap);
-        let pred = self.predictor.predict(pc, &history);
+        let pred = self.m.predictor.predict(pc, &history);
         let Some(p) = pred else {
             return LoadPlan::normal(None);
         };
-        let ssn_byp = Ssn(self.ssn.rename().0.saturating_sub(p.dist as u64));
-        if ssn_byp <= self.ssn.commit() || ssn_byp == Ssn::NONE {
+        let ssn_byp = Ssn(self.m.ssn.rename().0.saturating_sub(p.dist as u64));
+        if ssn_byp <= self.m.ssn.commit() || ssn_byp == Ssn::NONE {
             // Predicted store already committed: non-bypassing.
             return LoadPlan::normal(pred);
         }
@@ -2000,7 +1888,7 @@ impl<'p> Simulator<'p> {
                 injected: false,
             };
         }
-        if self.srq.get(ssn_byp).is_none() {
+        if self.m.srq.get(ssn_byp).is_none() {
             return LoadPlan::normal(pred);
         };
         let (lw, lext) = match dinst {
@@ -2012,8 +1900,8 @@ impl<'p> Simulator<'p> {
         // and exempted from verification (see `FaultPlan`).
         let (ssn_byp, injected) = match self.cfg.faults.break_predictor {
             Some(period) => {
-                self.fault_bypass_seen += 1;
-                if self.fault_bypass_seen.is_multiple_of(period) {
+                self.m.fault_bypass_seen += 1;
+                if self.m.fault_bypass_seen.is_multiple_of(period) {
                     match self.corrupt_bypass_target(ssn_byp) {
                         Some(bad) => (bad, true),
                         None => (ssn_byp, false),
@@ -2024,7 +1912,7 @@ impl<'p> Simulator<'p> {
             }
             None => (ssn_byp, false),
         };
-        let info = self.srq.get(ssn_byp).expect("bypass target in flight");
+        let info = self.m.srq.get(ssn_byp).expect("bypass target in flight");
         let sw = match info.width {
             1 => MemWidth::B1,
             2 => MemWidth::B2,
@@ -2048,9 +1936,9 @@ impl<'p> Simulator<'p> {
             .into_iter()
             .find(|&candidate| {
                 candidate != Ssn::NONE
-                    && candidate > self.ssn.commit()
-                    && candidate <= self.ssn.rename()
-                    && self.srq.get(candidate).is_some()
+                    && candidate > self.m.ssn.commit()
+                    && candidate <= self.m.ssn.rename()
+                    && self.m.srq.get(candidate).is_some()
             })
     }
 
@@ -2074,7 +1962,7 @@ impl<'p> Simulator<'p> {
                 match scheduling {
                     Scheduling::Perfect => {
                         if let Some(dep_ssn) = d.dep_ssn().map(Ssn) {
-                            if dep_ssn > self.ssn.commit() {
+                            if dep_ssn > self.m.ssn.commit() {
                                 let coverage = d.mem_dep.expect("dep").coverage;
                                 if coverage == Coverage::Full {
                                     ls.wait_exec = Some(dep_ssn);
@@ -2085,15 +1973,15 @@ impl<'p> Simulator<'p> {
                         }
                     }
                     Scheduling::StoreSets => {
-                        if let Some(ssn) = self.storesets.lookup_load(d.pc) {
-                            if ssn > self.ssn.commit() {
+                        if let Some(ssn) = self.m.storesets.lookup_load(d.pc) {
+                            if ssn > self.m.ssn.commit() {
                                 ls.wait_exec = Some(ssn);
                             }
                         }
                     }
                 }
-                let node = self.regs.alloc();
-                entry.prev_node = self.regs.remap(rd.expect("load dest"), Some(node));
+                let node = self.m.regs.alloc();
+                entry.prev_node = self.m.regs.remap(rd.expect("load dest"), Some(node));
                 entry.map_reg = rd;
                 entry.map_node = Some(node);
             }
@@ -2111,17 +1999,17 @@ impl<'p> Simulator<'p> {
                 ls.injected = injected;
                 match mode {
                     LoadMode::Bypassed { partial } => {
-                        self.stats.memory.bypassed_loads += 1;
+                        self.m.stats.memory.bypassed_loads += 1;
                         if !self.observers.is_empty() {
                             let ev = BypassEvent {
-                                cycle: self.clock,
+                                cycle: self.m.clock,
                                 pc: d.pc,
                                 partial,
                                 distance: ls.pred.map(|p| p.dist),
                             };
                             self.emit(|o| o.on_bypass(&ev));
                         }
-                        let info = self.srq.get(ssn_byp.expect("bypass ssn")).copied();
+                        let info = self.m.srq.get(ssn_byp.expect("bypass ssn")).copied();
                         let info = info.expect("bypassing store in flight");
                         ls.ssn_nvul = info.ssn;
                         ls.exec_value = if ls.oracle {
@@ -2149,35 +2037,35 @@ impl<'p> Simulator<'p> {
                         if partial && !ls.oracle {
                             // Injected shift & mask: new register, consumes
                             // the store's data node, 1-cycle ALU.
-                            self.stats.memory.shift_mask_uops += 1;
-                            let node = self.regs.alloc();
-                            entry.prev_node = self.regs.remap(rd.expect("load dest"), Some(node));
+                            self.m.stats.memory.shift_mask_uops += 1;
+                            let node = self.m.regs.alloc();
+                            entry.prev_node = self.m.regs.remap(rd.expect("load dest"), Some(node));
                             entry.map_reg = rd;
                             entry.map_node = Some(node);
                             entry.srcs = [info.dtag_node, None];
                         } else {
                             // Pure short-circuit: share the DEF's register.
                             if let Some(node) = info.dtag_node {
-                                self.regs.add_ref(node);
+                                self.m.regs.add_ref(node);
                             }
                             entry.prev_node =
-                                self.regs.remap(rd.expect("load dest"), info.dtag_node);
+                                self.m.regs.remap(rd.expect("load dest"), info.dtag_node);
                             entry.map_reg = rd;
                             entry.map_node = info.dtag_node;
-                            entry.complete_cycle = self.clock;
+                            entry.complete_cycle = self.m.clock;
                         }
                     }
                     LoadMode::Delayed => {
-                        self.stats.memory.delayed_loads += 1;
+                        self.m.stats.memory.delayed_loads += 1;
                         ls.wait_commit = ssn_byp;
-                        let node = self.regs.alloc();
-                        entry.prev_node = self.regs.remap(rd.expect("load dest"), Some(node));
+                        let node = self.m.regs.alloc();
+                        entry.prev_node = self.m.regs.remap(rd.expect("load dest"), Some(node));
                         entry.map_reg = rd;
                         entry.map_node = Some(node);
                     }
                     LoadMode::Normal => {
-                        let node = self.regs.alloc();
-                        entry.prev_node = self.regs.remap(rd.expect("load dest"), Some(node));
+                        let node = self.m.regs.alloc();
+                        entry.prev_node = self.m.regs.remap(rd.expect("load dest"), Some(node));
                         entry.map_reg = rd;
                         entry.map_node = Some(node);
                     }
@@ -2192,31 +2080,29 @@ impl<'p> Simulator<'p> {
     // ----------------------------------------------------------------
 
     fn fetch_stage(&mut self) {
-        if self.halt_fetched
-            || self.fetch_stalled_on.is_some()
-            || self.clock < self.fetch_stall_until
+        if self.m.halt_fetched
+            || self.m.fetch_stalled_on.is_some()
+            || self.m.clock < self.m.fetch_stall_until
         {
             return;
         }
         let mut budget = self.cfg.machine.width;
         let mut branches = 0;
         while budget > 0 {
-            let inst_idx = match self.pending.pop_front() {
-                Some(i) => i,
-                None => match self.stream.next_index(&mut self.insts) {
-                    Some(i) => i,
-                    None => {
-                        self.stream_done = true;
-                        break;
-                    }
-                },
+            let next = self.m.pending.pop_front().or_else(|| {
+                self.insts
+                    .next_index(&mut self.m.stream_next, self.m.stream_limit)
+            });
+            let Some(inst_idx) = next else {
+                self.m.stream_done = true;
+                break;
             };
             budget -= 1;
-            let uid = self.next_uid;
-            self.next_uid += 1;
-            let path_snap = self.path.snapshot();
-            let bpred_snap = self.bpred.history();
-            let ras_snap = self.ras.checkpoint();
+            let uid = self.m.next_uid;
+            self.m.next_uid += 1;
+            let path_snap = self.m.path.snapshot();
+            let bpred_snap = self.m.bpred.history();
+            let ras_snap = self.m.ras.checkpoint();
             let mut mispredicted = false;
 
             let (pc, rinst, taken, next_pc) = {
@@ -2225,47 +2111,47 @@ impl<'p> Simulator<'p> {
             };
             match rinst {
                 Inst::Branch { .. } => {
-                    let pred_dir = self.bpred.predict(pc);
-                    self.bpred.update(pc, taken);
-                    self.path.push_branch(taken);
+                    let pred_dir = self.m.bpred.predict(pc);
+                    self.m.bpred.update(pc, taken);
+                    self.m.path.push_branch(taken);
                     if taken {
-                        self.btb.update(pc, next_pc);
+                        self.m.btb.update(pc, next_pc);
                     }
                     mispredicted = pred_dir != taken;
                 }
                 Inst::Call { .. } => {
-                    self.ras.push(pc + nosq_isa::INST_BYTES);
-                    self.path.push_call(pc);
-                    self.btb.update(pc, next_pc);
+                    self.m.ras.push(pc + nosq_isa::INST_BYTES);
+                    self.m.path.push_call(pc);
+                    self.m.btb.update(pc, next_pc);
                 }
                 Inst::Ret { .. } => {
-                    let predicted = self.ras.pop();
+                    let predicted = self.m.ras.pop();
                     mispredicted = predicted != Some(next_pc);
                 }
                 Inst::Jump { .. } => {
-                    self.btb.update(pc, next_pc);
+                    self.m.btb.update(pc, next_pc);
                 }
                 Inst::Halt => {
-                    self.halt_fetched = true;
+                    self.m.halt_fetched = true;
                 }
                 _ => {}
             }
 
             if mispredicted {
-                self.stats.frontend.branch_mispredicts += 1;
-                self.fetch_stalled_on = Some(uid);
+                self.m.stats.frontend.branch_mispredicts += 1;
+                self.m.fetch_stalled_on = Some(uid);
             }
             let is_control = rinst.is_control();
-            self.fetch_buffer.push_back(Fetched {
+            self.m.fetch_buffer.push_back(Fetched {
                 inst: inst_idx,
                 uid,
-                fetch_cycle: self.clock,
+                fetch_cycle: self.m.clock,
                 path_snap,
                 bpred_snap,
                 ras_snap,
                 mispredicted_branch: mispredicted,
             });
-            if mispredicted || self.halt_fetched {
+            if mispredicted || self.m.halt_fetched {
                 break;
             }
             if is_control {
@@ -2282,19 +2168,19 @@ impl<'p> Simulator<'p> {
     // ----------------------------------------------------------------
 
     fn wrap_stage(&mut self) {
-        if !self.draining_for_wrap {
-            if self.ssn.wrap_pending() {
-                self.draining_for_wrap = true;
+        if !self.m.draining_for_wrap {
+            if self.m.ssn.wrap_pending() {
+                self.m.draining_for_wrap = true;
             }
             return;
         }
-        if self.rob.is_empty() && self.backend_exits.is_empty() {
-            self.tssbf.clear();
-            self.srq.clear();
-            self.storesets.clear();
-            self.ssn.acknowledge_wrap();
-            self.draining_for_wrap = false;
-            self.stats.verification.ssn_wrap_drains += 1;
+        if self.m.rob.is_empty() && self.m.backend_exits.is_empty() {
+            self.m.tssbf.clear();
+            self.m.srq.clear();
+            self.m.storesets.clear();
+            self.m.ssn.acknowledge_wrap();
+            self.m.draining_for_wrap = false;
+            self.m.stats.verification.ssn_wrap_drains += 1;
         }
     }
 }

@@ -31,7 +31,9 @@ proptest! {
 
     /// Snapshot at a random cycle, restore, run to completion: the
     /// resumed report equals the uninterrupted one, and so does the
-    /// report of the session the snapshot was taken from.
+    /// report of the session the snapshot was taken from. Before it
+    /// runs, a resumed session re-checkpoints to the same bytes, which
+    /// catches a restored field that the rest of the run overwrites.
     #[test]
     fn checkpoint_roundtrip_is_bit_identical(
         snapshot_cycle in 1u64..9_000,
@@ -54,14 +56,25 @@ proptest! {
             "taking a checkpoint perturbed the running session"
         );
 
-        let resumed = Simulator::resume(&program, &trace, &ckpt).run();
+        let bytes = ckpt.to_bytes();
+        let resumed = Simulator::resume(&program, &trace, &ckpt);
+        prop_assert!(
+            resumed.checkpoint().to_bytes() == bytes,
+            "resume did not restore the whole machine (snapshot at cycle {})", snapshot_cycle
+        );
+        let resumed = resumed.run();
         prop_assert_eq!(
             resumed, uninterrupted,
             "resumed run diverged (snapshot at cycle {})", snapshot_cycle
         );
 
         let mut arena = SimArena::new();
-        let resumed_arena = Simulator::resume_with_arena(&program, &trace, &ckpt, &mut arena).run();
+        let resumed_arena = Simulator::resume_with_arena(&program, &trace, &ckpt, &mut arena);
+        prop_assert!(
+            resumed_arena.checkpoint().to_bytes() == bytes,
+            "arena resume did not restore the whole machine (snapshot at cycle {})", snapshot_cycle
+        );
+        let resumed_arena = resumed_arena.run();
         prop_assert_eq!(
             resumed_arena, uninterrupted,
             "arena-resumed run diverged (snapshot at cycle {})", snapshot_cycle
@@ -83,6 +96,10 @@ fn checkpoint_of_finished_session_is_done() {
     let expected = sim.finish();
 
     let resumed = Simulator::resume(&program, &trace, &ckpt);
+    assert!(
+        resumed.checkpoint().to_bytes() == ckpt.to_bytes(),
+        "resume did not restore the whole machine"
+    );
     assert!(resumed.is_done());
     assert_eq!(resumed.run(), expected);
 }

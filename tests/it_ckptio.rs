@@ -123,6 +123,26 @@ fn every_truncation_is_rejected() {
     }
 }
 
+/// The encoding is pinned: the payload is `Machine`'s fields in
+/// declaration order, and journals written by earlier builds must keep
+/// opening under the same `envelope::VERSION`.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let (program, trace) = workload();
+    for (idx, len, fnv) in [
+        (0, 473_774, 0x3da5_096e_2237_92b9_u64),
+        (2, 473_986, 0xb0c7_6e32_8d01_718e),
+    ] {
+        let bytes = take_ckpt(&program, &trace, &config(idx), 700).to_bytes();
+        assert_eq!(
+            (bytes.len(), nosq_wire::fnv1a(&bytes)),
+            (len, fnv),
+            "config {idx}: the checkpoint format changed; if intended, bump \
+             nosq_wire::envelope::VERSION and re-pin these values"
+        );
+    }
+}
+
 /// Trailing garbage after a valid checkpoint is rejected too.
 #[test]
 fn trailing_bytes_are_rejected() {
