@@ -4,13 +4,14 @@
 //!
 //! Bars per benchmark: (i) associative SQ + StoreSets scheduling,
 //! (ii) NoSQ without delay, (iii) NoSQ with delay, (iv) perfect SMB.
+//!
+//! The grid is one `nosq-lab` campaign — the five presets × all 47
+//! profiles — so this harness only formats the resulting matrix.
 
-use nosq_bench::{
-    all_profiles, dyn_insts, parallel_over_profiles, rel_time, suite_geomeans, write_artifact,
-    SuiteTable,
-};
+use nosq_bench::{dyn_insts, rel_time, suite_geomeans, write_artifact, SuiteTable};
 use nosq_core::ser::{JsonArray, JsonObject};
-use nosq_core::{simulate, SimConfig, SimReport};
+use nosq_core::SimReport;
+use nosq_lab::{run_campaign, Campaign, Preset, RunOptions};
 use nosq_trace::Profile;
 
 const CONFIG_NAMES: [&str; 4] = ["assoc-sq", "nosq-nd", "nosq-d", "perfect"];
@@ -20,26 +21,6 @@ struct Row {
     ideal_ipc: f64,
     rel: [f64; 4],
     reports: [SimReport; 4],
-}
-
-fn run_all(p: &'static Profile, n: u64) -> Row {
-    let program = nosq_bench::workload(p);
-    let ideal = simulate(&program, SimConfig::baseline_perfect(n));
-    let sq = simulate(&program, SimConfig::baseline_storesets(n));
-    let nd = simulate(&program, SimConfig::nosq_no_delay(n));
-    let d = simulate(&program, SimConfig::nosq(n));
-    let smb = simulate(&program, SimConfig::perfect_smb(n));
-    Row {
-        profile: p,
-        ideal_ipc: ideal.ipc(),
-        rel: [
-            rel_time(&sq, &ideal),
-            rel_time(&nd, &ideal),
-            rel_time(&d, &ideal),
-            rel_time(&smb, &ideal),
-        ],
-        reports: [sq, nd, d, smb],
-    }
 }
 
 /// `NOSQ_ARTIFACT_DIR` artifacts: one JSON document with the full
@@ -69,8 +50,31 @@ fn write_artifacts(rows: &[Row]) {
 
 fn main() {
     let n = dyn_insts();
-    let profiles = all_profiles();
-    let rows = parallel_over_profiles(&profiles, |p| run_all(p, n));
+    // Every preset in bar order: column 0 is the ideal baseline and
+    // columns 1-4 are the four bars.
+    let campaign = Preset::all()
+        .into_iter()
+        .fold(Campaign::builder("fig2_window128"), |b, p| b.preset(p))
+        .all_profiles()
+        .max_insts(n)
+        .build()
+        .expect("the Figure-2 campaign is statically valid");
+    let result = run_campaign(&campaign, &RunOptions::default());
+    let rows: Vec<Row> = campaign
+        .profiles
+        .iter()
+        .enumerate()
+        .map(|(p, &profile)| {
+            let ideal = result.report(p, 0);
+            let reports: [SimReport; 4] = std::array::from_fn(|c| *result.report(p, c + 1));
+            Row {
+                profile,
+                ideal_ipc: ideal.ipc(),
+                rel: std::array::from_fn(|c| rel_time(&reports[c], ideal)),
+                reports,
+            }
+        })
+        .collect();
 
     let mut table = SuiteTable::new(format!(
         "{:<9} | {:>5} {:>5} | {:>8} {:>9} {:>9} {:>9}   (relative execution time; <1 is faster than ideal baseline)",

@@ -6,9 +6,12 @@
 //! The paper's finding: a larger window increases both SMB opportunity
 //! (perfect SMB improves) and hard communication patterns (realistic
 //! NoSQ's average advantage drops from ~2% to ~1%).
+//!
+//! The grid is one `nosq-lab` campaign — the five presets at window 256
+//! × the selected profiles — so this harness only formats the matrix.
 
-use nosq_bench::{dyn_insts, parallel_over_profiles, rel_time, suite_geomeans, SuiteTable};
-use nosq_core::{simulate, SimConfig};
+use nosq_bench::{dyn_insts, rel_time, suite_geomeans, SuiteTable};
+use nosq_lab::{run_campaign, Campaign, Preset, RunOptions};
 use nosq_trace::Profile;
 
 struct Row {
@@ -18,24 +21,26 @@ struct Row {
 
 fn main() {
     let n = dyn_insts();
-    let profiles = Profile::selected();
-    let rows = parallel_over_profiles(&profiles, |p| {
-        let program = nosq_bench::workload(p);
-        let ideal = simulate(&program, SimConfig::baseline_perfect(n).with_window256());
-        let sq = simulate(&program, SimConfig::baseline_storesets(n).with_window256());
-        let nd = simulate(&program, SimConfig::nosq_no_delay(n).with_window256());
-        let d = simulate(&program, SimConfig::nosq(n).with_window256());
-        let smb = simulate(&program, SimConfig::perfect_smb(n).with_window256());
-        Row {
-            profile: p,
-            rel: [
-                rel_time(&sq, &ideal),
-                rel_time(&nd, &ideal),
-                rel_time(&d, &ideal),
-                rel_time(&smb, &ideal),
-            ],
-        }
-    });
+    // Every preset in bar order on the 256-entry window: column 0 is
+    // the ideal baseline and columns 1-4 are the four bars.
+    let campaign = Preset::all()
+        .into_iter()
+        .fold(Campaign::builder("fig3_window256"), |b, p| b.preset(p))
+        .window(256)
+        .selected_profiles()
+        .max_insts(n)
+        .build()
+        .expect("the Figure-3 campaign is statically valid");
+    let result = run_campaign(&campaign, &RunOptions::default());
+    let rows: Vec<Row> = campaign
+        .profiles
+        .iter()
+        .enumerate()
+        .map(|(p, &profile)| Row {
+            profile,
+            rel: std::array::from_fn(|c| rel_time(result.report(p, c + 1), result.report(p, 0))),
+        })
+        .collect();
 
     let mut table = SuiteTable::new(format!(
         "{:<9} | {:>8} {:>9} {:>9} {:>9}   (256-entry window; relative execution time)",

@@ -6,9 +6,12 @@
 //! out-of-order core and the T-SSBF filters most re-executions (~0.7% of
 //! loads re-execute), NoSQ reduces data-cache reads roughly in proportion
 //! to the bypassing frequency — ~9% on average, up to 40% (mesa.o).
+//!
+//! The grid is one `nosq-lab` campaign — the StoreSets baseline and
+//! NoSQ × the selected profiles — so this harness only formats it.
 
-use nosq_bench::{dyn_insts, parallel_over_profiles, SuiteTable};
-use nosq_core::{simulate, SimConfig};
+use nosq_bench::{dyn_insts, SuiteTable};
+use nosq_lab::{run_campaign, Campaign, Preset, RunOptions};
 use nosq_trace::{Profile, Suite};
 
 struct Row {
@@ -20,19 +23,29 @@ struct Row {
 
 fn main() {
     let n = dyn_insts();
-    let profiles = Profile::selected();
-    let rows = parallel_over_profiles(&profiles, |p| {
-        let program = nosq_bench::workload(p);
-        let base = simulate(&program, SimConfig::baseline_storesets(n));
-        let nosq = simulate(&program, SimConfig::nosq(n));
-        let denom = base.dcache_reads().max(1) as f64;
-        Row {
-            profile: p,
-            ooo_frac: nosq.memory.ooo_dcache_reads as f64 / denom,
-            backend_frac: nosq.verification.backend_dcache_reads as f64 / denom,
-            reexec_rate: nosq.reexec_rate(),
-        }
-    });
+    let campaign = Campaign::builder("fig4_dcache_reads")
+        .preset(Preset::BaselineStoresets)
+        .preset(Preset::Nosq)
+        .selected_profiles()
+        .max_insts(n)
+        .build()
+        .expect("the Figure-4 campaign is statically valid");
+    let result = run_campaign(&campaign, &RunOptions::default());
+    let rows: Vec<Row> = campaign
+        .profiles
+        .iter()
+        .enumerate()
+        .map(|(p, &profile)| {
+            let (base, nosq) = (result.report(p, 0), result.report(p, 1));
+            let denom = base.dcache_reads().max(1) as f64;
+            Row {
+                profile,
+                ooo_frac: nosq.memory.ooo_dcache_reads as f64 / denom,
+                backend_frac: nosq.verification.backend_dcache_reads as f64 / denom,
+                reexec_rate: nosq.reexec_rate(),
+            }
+        })
+        .collect();
 
     let mut table = SuiteTable::new(format!(
         "{:<9} | {:>9} {:>9} {:>9} | {:>8}   (reads relative to assoc-SQ baseline)",

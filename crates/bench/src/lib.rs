@@ -3,7 +3,10 @@
 //! Harness utilities for regenerating the NoSQ paper's evaluation
 //! (Table 5 and Figures 2-5). Each `benches/` target is a standalone
 //! binary (`harness = false`) that prints the same rows/series the paper
-//! reports, with the paper's numbers alongside for comparison.
+//! reports, with the paper's numbers alongside for comparison. Table 5
+//! and Figures 2-5 run as `nosq-lab` campaigns; this crate supplies
+//! only the workload seed, the budget knob, the relative-time check,
+//! artifact writes and suite-grouped table formatting.
 //!
 //! The dynamic-instruction budget per run is controlled by the
 //! `NOSQ_DYN_INSTS` environment variable (default 150,000 — enough for
@@ -19,13 +22,12 @@
 
 use std::path::PathBuf;
 
-use nosq_core::{simulate, SimConfig, SimReport};
-use nosq_isa::Program;
-use nosq_trace::{synthesize, Profile, Suite};
+use nosq_core::SimReport;
+use nosq_trace::{Profile, Suite};
 
-/// Workload seed shared by all harnesses (results are deterministic).
-/// Tied to the campaign engine's default so bench-driven and
-/// engine-driven figures always measure the same synthesized workloads.
+/// Workload seed of the paper harnesses: the campaign engine's
+/// default, so code that synthesizes a workload itself measures the
+/// same programs the figures do.
 pub const SEED: u64 = nosq_lab::DEFAULT_SEED;
 
 /// Dynamic instructions per simulation (`NOSQ_DYN_INSTS`, default 150k).
@@ -49,26 +51,6 @@ pub fn dyn_insts() -> u64 {
     }
 }
 
-/// Synthesizes the calibrated workload for a profile.
-pub fn workload(profile: &Profile) -> Program {
-    synthesize(profile, SEED)
-}
-
-/// Runs one configuration over a profile's workload.
-pub fn run(profile: &Profile, cfg: SimConfig) -> SimReport {
-    let program = workload(profile);
-    simulate(&program, cfg)
-}
-
-/// Runs several configurations over one shared workload (cheaper than
-/// re-synthesizing per configuration).
-pub fn run_many(profile: &Profile, cfgs: Vec<SimConfig>) -> Vec<SimReport> {
-    let program = workload(profile);
-    cfgs.into_iter()
-        .map(|cfg| simulate(&program, cfg))
-        .collect()
-}
-
 /// [`SimReport::relative_time`] with the reference checked: panics if
 /// the reference run retired no cycles (which would yield NaN). The
 /// paper's relative-execution-time figures are meaningless without a
@@ -81,23 +63,6 @@ pub fn rel_time(r: &SimReport, reference: &SimReport) -> f64 {
         "reference run retired no cycles; relative time undefined"
     );
     rel
-}
-
-/// Maps each profile through `f` in parallel (profiles are
-/// independent). Backed by the `nosq-lab` executor: a lock-free
-/// atomic-cursor job pickup with per-worker result buffers, merged back
-/// into profile order — no mutex, no per-slot cells.
-pub fn parallel_over_profiles<T, F>(profiles: &[&'static Profile], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&'static Profile) -> T + Sync,
-{
-    nosq_lab::parallel_map_indexed(profiles.len(), 0, |i| f(profiles[i]))
-}
-
-/// All profiles, as static references.
-pub fn all_profiles() -> Vec<&'static Profile> {
-    Profile::all().iter().collect()
 }
 
 /// The artifact output directory (`NOSQ_ARTIFACT_DIR`), if configured.
@@ -249,25 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let profiles = all_profiles();
-        let names = parallel_over_profiles(&profiles, |p| p.name.to_owned());
-        let expected: Vec<_> = profiles.iter().map(|p| p.name.to_owned()).collect();
-        assert_eq!(names, expected);
-    }
-
-    #[test]
-    fn run_produces_instructions() {
-        let p = Profile::by_name("gsm.e").unwrap();
-        let r = run(p, SimConfig::nosq(5_000));
-        assert!(r.insts > 4_000);
-        assert!(r.cycles > 0);
-    }
-
-    #[test]
     fn rel_time_checks_the_reference() {
-        let p = Profile::by_name("gsm.e").unwrap();
-        let r = run(p, SimConfig::nosq(2_000));
+        let r = SimReport {
+            cycles: 1_000,
+            insts: 2_000,
+            ..SimReport::default()
+        };
         assert!(rel_time(&r, &r) == 1.0);
         let empty = SimReport::default();
         let panicked = std::panic::catch_unwind(|| rel_time(&r, &empty));

@@ -83,19 +83,6 @@
 //! println!("{}", report.to_json()); // machine-readable artifact
 //! # let _ = warmup.samples();
 //! ```
-//!
-//! ## Migrating from `simulate()` + `SimResult`
-//!
-//! `simulate()` is still here and still the right call for
-//! run-to-completion experiments — it now returns [`SimReport`], which
-//! reorganizes the old flat `SimResult` counters into typed groups:
-//! top-level `cycles`/`insts` are unchanged, while e.g. `r.loads`
-//! became `r.memory.loads`, `r.bypass_mispredicts` became
-//! `r.verification.bypass_mispredicts`, and `r.iq_dispatch_stalls`
-//! became `r.stalls.iq_dispatch_stalls`. Derived metrics
-//! ([`SimReport::ipc`], [`SimReport::relative_time`], …) kept their
-//! names; `relative_time` now returns NaN (instead of a silent `0.0`)
-//! when the reference run has zero cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -119,8 +106,6 @@ pub use observer::{
 };
 pub use pipeline::{simulate, CkptError, SimCheckpoint, Simulator, StopCondition};
 pub use predictor::{BypassingPredictor, PathHistory, Prediction, PredictorConfig};
-#[allow(deprecated)]
-pub use report::SimResult;
 pub use report::{
     geometric_mean, FrontendMetrics, MemoryMetrics, SimReport, StallMetrics, VerificationMetrics,
 };

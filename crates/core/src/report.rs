@@ -92,13 +92,6 @@ pub struct SimReport {
     pub stalls: StallMetrics,
 }
 
-/// Pre-0.2 name for [`SimReport`].
-///
-/// The flat 20-field `SimResult` was reorganized into [`SimReport`]'s
-/// typed metric groups; see the crate-level migration note.
-#[deprecated(note = "renamed to SimReport; counters moved into typed groups")]
-pub type SimResult = SimReport;
-
 /// Stable flat view of every counter, shared by the JSON and CSV
 /// encoders: `(group, name, accessor)`. The empty group holds the
 /// top-level counters.

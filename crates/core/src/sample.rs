@@ -401,4 +401,77 @@ mod tests {
             assert!(SamplePlan::parse(bad).is_err(), "accepted '{bad}'");
         }
     }
+
+    /// One profile from each suite, plus gcc.
+    const PROFILES: [&str; 4] = ["gzip", "gcc", "applu", "gsm.e"];
+
+    /// A profile's program at seed 42 (the campaign engine's default)
+    /// and its first `n` instructions, recorded.
+    fn workload(name: &str, n: u64) -> (Program, TraceBuffer) {
+        let profile = nosq_trace::Profile::by_name(name).expect("profile exists");
+        let program = nosq_trace::synthesize(profile, 42);
+        let trace = TraceBuffer::record(&program, n);
+        (program, trace)
+    }
+
+    /// The documented error bar: at 20k instructions every estimate
+    /// lands within 25% of the full run's IPC. At this budget the full
+    /// run is itself barely trained, so the bar holds even with the
+    /// functional warming disabled; it checks the window machinery, not
+    /// the warmer's bias (which needs a budget of 300k or more).
+    #[test]
+    fn estimates_stay_within_the_documented_error_bar() {
+        let n = 20_000;
+        let plan = SamplePlan {
+            warmup: 2_000,
+            interval: 1_000,
+            count: 20,
+        };
+        for name in PROFILES {
+            let (program, trace) = workload(name, n);
+            let full = Simulator::replay(&program, SimConfig::nosq(n), &trace).run();
+            let est = sampled_replay(&program, SimConfig::nosq(n), &trace, &plan);
+            assert!(est.windows > 0, "{name}: no window ran");
+            let err = (est.ipc() - full.ipc()).abs() / full.ipc();
+            assert!(
+                err <= 0.25,
+                "{name}: sampled IPC {:.3} is {:.1}% off the full run's {:.3}",
+                est.ipc(),
+                100.0 * err,
+                full.ipc()
+            );
+        }
+    }
+
+    /// A window opened at trace offset 0 with cold warm state is the
+    /// full run: its measured part equals a full replay's counts after
+    /// the detailed-warming prefix.
+    #[test]
+    fn a_window_at_the_origin_is_the_full_run() {
+        let n = 6_000;
+        let plan = SamplePlan {
+            warmup: 0,
+            interval: n,
+            count: 1,
+        };
+        for name in PROFILES {
+            let (program, trace) = workload(name, n);
+            for (preset, cfg) in [
+                ("nosq", SimConfig::nosq(n)),
+                ("baseline-storesets", SimConfig::baseline_storesets(n)),
+                ("perfect-smb", SimConfig::perfect_smb(n)),
+            ] {
+                let est = sampled_replay(&program, cfg.clone(), &trace, &plan);
+                let mut sim = Simulator::replay(&program, cfg, &trace);
+                sim.run_until(StopCondition::Insts(DETAIL_WARMUP));
+                let prefix = *sim.stats();
+                let full = sim.run();
+                let job = format!("{name} under {preset}");
+                assert_eq!(est.windows, 1, "{job}");
+                assert_eq!(est.total_insts, full.insts, "{job}");
+                assert_eq!(est.measured_insts, full.insts - prefix.insts, "{job}");
+                assert_eq!(est.measured_cycles, full.cycles - prefix.cycles, "{job}");
+            }
+        }
+    }
 }

@@ -5,8 +5,17 @@
 //! errors (usage text on stderr, never stdout). In particular, running
 //! `nosq` with no subcommand is a usage *error* — it must not print
 //! the help to stdout and exit as if that were a successful run.
+//!
+//! The durable one-shot path is pinned here too: a `nosq run --resume`
+//! from a mid-job checkpoint, and a `nosq run --journal` rerun served
+//! from the journal, write the same artifacts as a plain `nosq run`.
 
+use std::path::Path;
 use std::process::{Command, Output};
+
+use nosq_check::sync::StdSync;
+use nosq_lab::{run_campaign_durable, synthesize_programs, Campaign, ProgressCounters};
+use nosq_serve::{campaign_fingerprint, CheckpointEntry, Journal};
 
 fn nosq(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_nosq"))
@@ -162,6 +171,78 @@ fn sampled_runs_succeed_on_a_real_spec() {
     assert_eq!(code(&empty), 1);
     assert!(stderr(&empty).contains("measured no windows"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first mid-job checkpoint of grid job `job`, captured from the
+/// durable runner at a 1,000-instruction cadence as the journal record
+/// a process killed at that point would have left behind.
+fn mid_job_checkpoint(spec: &str, job: usize) -> CheckpointEntry {
+    let campaign = Campaign::from_spec(spec).expect("valid spec");
+    let programs = synthesize_programs(&campaign, 1);
+    let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+    let mut captured = None;
+    let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
+        if captured.is_none() && ev.job_index == job && ev.state.is_some() {
+            captured = Some(CheckpointEntry {
+                fingerprint: campaign_fingerprint(&campaign),
+                name: campaign.name.clone(),
+                spec: spec.to_owned(),
+                job_index: job as u64,
+                completed: ev.completed.to_vec(),
+                state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
+            });
+        }
+    };
+    let mut ctx = nosq_lab::WorkerContext::new();
+    run_campaign_durable(
+        &campaign, &programs, &mut ctx, &progress, 1_000, None, &mut sink,
+    );
+    captured.expect("a 3,000-instruction job checkpoints at cadence 1,000")
+}
+
+#[test]
+fn journaled_runs_resume_byte_identically() {
+    let dir = std::env::temp_dir().join(format!("nosq-cli-journal-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let spec_text = "name = cli-journal\nconfigs = nosq, baseline-storesets\n\
+                     profiles = gzip\nmax_insts = 3000\n";
+    let spec = dir.join("campaign.spec");
+    std::fs::write(&spec, spec_text).expect("write spec");
+    let journal = dir.join("run.journal");
+    let (mut j, _) = Journal::open(&journal).expect("open journal");
+    j.append_checkpoint(&mid_job_checkpoint(spec_text, 1))
+        .expect("append checkpoint");
+    drop(j);
+    let path = |p: &Path| p.to_str().expect("utf-8 temp path").to_owned();
+    let (spec, journal) = (path(&spec), path(&journal));
+    let out = |name: &str| path(&dir.join(name));
+
+    let plain = nosq(&["run", &spec, "--out", &out("plain")]);
+    assert_eq!(code(&plain), 0, "{}", stderr(&plain));
+    let resumed = nosq(&["run", "--resume", &journal, "--out", &out("resumed")]);
+    assert_eq!(code(&resumed), 0, "{}", stderr(&resumed));
+    let text = stdout(&resumed);
+    assert!(
+        text.contains("1/2 jobs already complete, mid-job state restored"),
+        "{text}"
+    );
+    let again = nosq(&["run", &spec, "--journal", &journal, "--out", &out("again")]);
+    assert_eq!(code(&again), 0, "{}", stderr(&again));
+    let text = stdout(&again);
+    assert!(text.contains("without re-simulating"), "{text}");
+
+    for file in [
+        "cli-journal.matrix.csv",
+        "cli-journal.matrix.json",
+        "cli-journal.summary.json",
+    ] {
+        let read = |run: &str| std::fs::read(dir.join(run).join(file)).expect("artifact written");
+        let reference = read("plain");
+        assert_eq!(read("resumed"), reference, "{file} after --resume");
+        assert_eq!(read("again"), reference, "{file} from the journal");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

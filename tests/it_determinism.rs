@@ -157,14 +157,3 @@ fn squash_heavy_runs_match_seed_golden_counters() {
         }
     }
 }
-
-/// The bench harness itself (workload + run) is reproducible.
-#[test]
-fn bench_harness_run_is_reproducible() {
-    let profile = Profile::by_name("epic.e")
-        .or_else(|| Profile::by_name("gzip"))
-        .expect("profile exists");
-    let a = nosq_bench::run(profile, SimConfig::nosq(10_000));
-    let b = nosq_bench::run(profile, SimConfig::nosq(10_000));
-    assert_eq!(a, b, "nosq_bench::run is nondeterministic");
-}

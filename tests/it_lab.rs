@@ -87,21 +87,10 @@ fn invalid_grid_points_are_rejected_at_build_time() {
     assert!(err.msg.contains("power of two"), "{err}");
 }
 
-/// The generic parallel map (now backing the bench crate's
-/// `parallel_over_profiles`) keeps index order under heavy
+/// The generic parallel map keeps index order under heavy
 /// oversubscription.
 #[test]
 fn parallel_map_survives_oversubscription() {
     let out = parallel_map_indexed(257, 16, |i| i as u64 * 3);
     assert_eq!(out, (0..257).map(|i| i as u64 * 3).collect::<Vec<_>>());
-}
-
-/// `parallel_over_profiles` (bench crate) and the engine agree — the
-/// migration kept the bench harness's semantics.
-#[test]
-fn bench_parallel_map_matches_engine_order() {
-    let profiles = nosq_bench::all_profiles();
-    let names = nosq_bench::parallel_over_profiles(&profiles, |p| p.name);
-    let expected: Vec<_> = profiles.iter().map(|p| p.name).collect();
-    assert_eq!(names, expected);
 }
