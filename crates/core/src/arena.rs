@@ -110,10 +110,17 @@ impl CoreBuffers {
 /// The pipeline stores each dynamic instruction exactly once, here, and
 /// passes 4-byte indices through the fetch buffer, ROB and replay
 /// queues instead of `size_of::<DynInst>()`-byte copies.
+///
+/// Each slot also holds its instruction's sequence number: the number
+/// of allocations before it since the last [`clear`](InstPool::clear).
+/// The live pipeline allocates in program order (a squash re-queues
+/// indices and never re-allocates), so that count is the dynamic
+/// sequence number.
 #[derive(Clone, Default)]
 pub(crate) struct InstPool {
-    slots: Vec<DynInst>,
+    slots: Vec<(u64, DynInst)>,
     free: Vec<u32>,
+    allocated: u64,
     /// Debug-build liveness tracking: `live[i]` iff slot `i` is
     /// allocated. Turns double-release and use-after-release into
     /// immediate assertion failures under `cargo test`; absent from
@@ -123,11 +130,14 @@ pub(crate) struct InstPool {
 }
 
 impl InstPool {
-    /// Stores `d`, returning its slot index.
+    /// Stores `d`, numbered with the allocation count, returning its
+    /// slot index.
     pub(crate) fn alloc(&mut self, d: DynInst) -> u32 {
+        let slot = (self.allocated, d);
+        self.allocated += 1;
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = d;
+                self.slots[i as usize] = slot;
                 #[cfg(debug_assertions)]
                 {
                     debug_assert!(!self.live[i as usize], "free list held a live slot");
@@ -136,7 +146,7 @@ impl InstPool {
                 i
             }
             None => {
-                self.slots.push(d);
+                self.slots.push(slot);
                 #[cfg(debug_assertions)]
                 self.live.push(true);
                 (self.slots.len() - 1) as u32
@@ -156,10 +166,24 @@ impl InstPool {
         self.free.push(idx);
     }
 
-    /// Drops all slots, keeping capacity.
+    /// The sequence number of the instruction in slot `idx`.
+    #[inline]
+    pub(crate) fn seq(&self, idx: u32) -> u64 {
+        self.slot(idx).0
+    }
+
+    #[inline]
+    fn slot(&self, idx: u32) -> &(u64, DynInst) {
+        #[cfg(debug_assertions)]
+        debug_assert!(self.live[idx as usize], "read of released pool slot {idx}");
+        &self.slots[idx as usize]
+    }
+
+    /// Drops all slots and restarts the numbering, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
+        self.allocated = 0;
         #[cfg(debug_assertions)]
         self.live.clear();
     }
@@ -170,9 +194,7 @@ impl std::ops::Index<u32> for InstPool {
 
     #[inline]
     fn index(&self, idx: u32) -> &DynInst {
-        #[cfg(debug_assertions)]
-        debug_assert!(self.live[idx as usize], "read of released pool slot {idx}");
-        &self.slots[idx as usize]
+        &self.slot(idx).1
     }
 }
 
@@ -480,6 +502,11 @@ mod tests {
         pool.release(a);
         let c = pool.alloc(d);
         assert_eq!(c, a, "freed slot is recycled");
-        assert_eq!(pool[b].seq, d.seq);
+        assert_eq!(pool[b].pc, d.pc);
+        // Slots are numbered in allocation order, recycled or not.
+        assert_eq!((pool.seq(b), pool.seq(c)), (1, 2));
+        pool.clear();
+        let first = pool.alloc(d);
+        assert_eq!(pool.seq(first), 0, "clear restarts the count");
     }
 }

@@ -113,7 +113,7 @@ pub enum CommittedLoadKind {
 ///
 /// Fired once per committed load, after verification resolved (and, on
 /// a mismatch, before the squash event for the same load).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LoadCommitEvent {
     /// Commit cycle.
     pub cycle: u64,

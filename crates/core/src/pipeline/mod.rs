@@ -20,7 +20,10 @@
 //! buffer, ROB, and squash-replay queue as a 4-byte index into the
 //! session's `InstSupply`: live tracing copies each instruction into
 //! a recycled slab ([`InstPool`](crate::arena)), while replay indexes
-//! the recorded trace directly. The ROB and its sibling queues are
+//! the recorded trace directly. The static instruction is read from
+//! the program's code ([`Program::code`]) at the record's PC, and the
+//! sequence number is the trace position (replay) or the pool's
+//! allocation count (live). The ROB and its sibling queues are
 //! power-of-two rings with stable absolute positions
 //! ([`Ring`](crate::arena)), and the issue stage walks a compact
 //! candidate list of ROB positions instead of rescanning every ROB
@@ -268,6 +271,17 @@ impl InstSupply<'_> {
             InstSupply::Live(_, pool) | InstSupply::Replay(_, pool) => pool,
         }
     }
+
+    /// The dynamic sequence number of the instruction at `idx`: the
+    /// trace position for replay, the allocation count for live
+    /// tracing (which allocates in program order; a squash re-queues
+    /// indices and never re-allocates).
+    fn seq(&self, idx: u32) -> u64 {
+        match self {
+            InstSupply::Live(_, pool) => pool.seq(idx),
+            InstSupply::Replay(..) => u64::from(idx),
+        }
+    }
 }
 
 impl std::ops::Index<u32> for InstSupply<'_> {
@@ -435,6 +449,8 @@ pub(crate) struct Machine {
 pub struct Simulator<'p> {
     cfg: SimConfig,
     cycle_cap: u64,
+    /// The program's static instructions ([`Program::code`]).
+    code: &'p [Inst],
     /// Instruction supply; in-flight instructions are addressed by index.
     insts: InstSupply<'p>,
     /// Squash scratch (drained ROB entries), reused across squashes and
@@ -452,7 +468,8 @@ impl<'p> Simulator<'p> {
     pub fn new(program: &'p Program, cfg: SimConfig) -> Simulator<'p> {
         let tracer = Tracer::new(program, cfg.max_insts);
         let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
-        Simulator::build(program, cfg, insts, 0..0, None)
+        let start = cold_start(program, &cfg);
+        Simulator::build(program.code(), cfg, insts, 0..0, start, None)
     }
 
     /// Builds a simulator over `program` that borrows its hot-path
@@ -472,7 +489,8 @@ impl<'p> Simulator<'p> {
         let SimArena { trace, core } = arena;
         let tracer = Tracer::with_arena(program, cfg.max_insts, trace);
         let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
-        Simulator::build(program, cfg, insts, 0..0, Some(core))
+        let start = cold_start(program, &cfg);
+        Simulator::build(program.code(), cfg, insts, 0..0, start, Some(core))
     }
 
     /// Builds a simulator that replays a recorded [`TraceBuffer`]
@@ -526,7 +544,8 @@ impl<'p> Simulator<'p> {
             "replay indices are 4 bytes; budget {limit} does not fit"
         );
         let insts = InstSupply::Replay(trace.insts(), InstPool::default());
-        Simulator::build(program, cfg, insts, 0..limit, core)
+        let start = cold_start(program, &cfg);
+        Simulator::build(program.code(), cfg, insts, 0..limit, start, core)
     }
 
     /// Builds a simulator over the half-open trace window
@@ -538,8 +557,8 @@ impl<'p> Simulator<'p> {
     /// absolute store count at the window start, keeping SSN arithmetic
     /// — bypass distances, rollback targets, wrap boundaries — identical
     /// to a full run's. Long-history microarchitectural state (caches,
-    /// branch structures, the bypassing predictor, the T-SSBF) is
-    /// injected from `warm`, the functional warmer's image of that
+    /// branch structures, the bypassing predictor, the T-SSBF) starts
+    /// as a clone of `warm`, the functional warmer's image of that
     /// state at `offset`; any residual divergence from a full run is
     /// the sampling estimator's documented bias, and every SVW filter
     /// fails *conservative* on a not-warmed entry (forced
@@ -568,26 +587,23 @@ impl<'p> Simulator<'p> {
             "replay indices are 4 bytes; window end {end} does not fit"
         );
         let supply = InstSupply::Replay(insts, InstPool::default());
-        let mut sim = Simulator::build(program, cfg, supply, offset..end, core);
+        let ssn = SsnCounters::seeded(cfg.machine.ssn_bits, insts[offset].stores_before);
+        let start = (warm.clone(), mem, ssn);
+        let mut sim = Simulator::build(program.code(), cfg, supply, offset..end, start, core);
         sim.cycle_cap = 1_000_000 + (len as u64).saturating_mul(300);
-        let m = &mut sim.m;
-        m.timing_mem = mem;
-        m.ssn = SsnCounters::seeded(sim.cfg.machine.ssn_bits, insts[offset].stores_before);
-        m.hierarchy = warm.hierarchy.clone();
-        m.bpred = warm.bpred.clone();
-        m.btb = warm.btb.clone();
-        m.ras = warm.ras.clone();
-        m.path = warm.path;
-        m.predictor = warm.predictor.clone();
-        m.tssbf = warm.tssbf.clone();
         sim
     }
 
+    /// Assembles a session over `code` that fetches `insts` (replay
+    /// reads trace positions `cursor`) and starts from `start`: the
+    /// long-history state, the memory image and the SSN counters
+    /// ([`cold_start`] for every session but a sampling window).
     fn build(
-        program: &'p Program,
+        code: &'p [Inst],
         cfg: SimConfig,
         mut insts: InstSupply<'p>,
         cursor: std::ops::Range<usize>,
+        start: (WarmState, Memory, SsnCounters),
         core: Option<&'p mut CoreBuffers>,
     ) -> Simulator<'p> {
         let mc = &cfg.machine;
@@ -613,6 +629,7 @@ impl<'p> Simulator<'p> {
         } = bufs;
         *insts.pool() = pool;
         rob.reserve(mc.rob_size);
+        let (warm, timing_mem, ssn) = start;
         let WarmState {
             hierarchy,
             bpred,
@@ -621,7 +638,7 @@ impl<'p> Simulator<'p> {
             path,
             predictor,
             tssbf,
-        } = WarmState::new(&cfg);
+        } = warm;
         let m = Machine {
             clock: 0,
             next_uid: 0,
@@ -641,7 +658,7 @@ impl<'p> Simulator<'p> {
             lq_used: 0,
             sq_used: 0,
             regs: RegState::new(mc.phys_regs),
-            timing_mem: program.initial_memory(),
+            timing_mem,
             hierarchy,
             bpred,
             btb,
@@ -650,7 +667,7 @@ impl<'p> Simulator<'p> {
             fetch_stall_until: 0,
             fetch_stalled_on: None,
             halt_fetched: false,
-            ssn: SsnCounters::new(mc.ssn_bits),
+            ssn,
             srq: StoreRegisterQueue::with_storage(srq, 8192),
             tssbf,
             predictor,
@@ -663,6 +680,7 @@ impl<'p> Simulator<'p> {
         Simulator {
             cycle_cap: 1_000_000 + cfg.max_insts.saturating_mul(300),
             cfg,
+            code,
             insts,
             scratch,
             m,
@@ -873,6 +891,12 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// The static instruction of the in-flight instruction at `idx`.
+    #[inline]
+    fn inst_of(&self, idx: u32) -> &'p Inst {
+        self.insts[idx].inst(self.code)
+    }
+
     fn check_done(&mut self) {
         if (self.m.stream_done || self.m.halt_fetched)
             && self.m.pending.is_empty()
@@ -992,10 +1016,11 @@ impl<'p> Simulator<'p> {
     fn commit_store(&mut self, entry: &Entry) {
         let (addr, width, store_mem_bits) = {
             let d = &self.insts[entry.inst];
+            let inst = d.inst(self.code);
             (
                 d.addr,
-                d.inst.mem_width().expect("store width").bytes(),
-                d.store_mem_bits(),
+                inst.mem_width().expect("store width").bytes(),
+                d.store_mem_bits(inst),
             )
         };
         self.m.timing_mem.write(addr, width, store_mem_bits);
@@ -1032,7 +1057,7 @@ impl<'p> Simulator<'p> {
             return false;
         }
         let d = &self.insts[entry.inst];
-        let width = d.inst.mem_width().expect("load width").bytes() as u8;
+        let width = d.inst(self.code).mem_width().expect("load width").bytes() as u8;
         let tssbf = &self.m.tssbf;
         match ls.mode {
             LoadMode::Bypassed { .. } => tssbf.must_reexecute_equality(d.addr, width, ls.ssn_nvul),
@@ -1045,12 +1070,15 @@ impl<'p> Simulator<'p> {
     fn verify_load(&mut self, entry: &Entry, reexec: bool) -> bool {
         let ls = entry.load.as_ref().expect("load state");
         let d = self.insts[entry.inst]; // one local copy per committed load
-        let width = d.inst.mem_width().expect("load width");
+        let inst = d.inst(self.code);
+        let Inst::Load { width, ext, .. } = *inst else {
+            unreachable!("load entry holds a load")
+        };
         self.m.stats.memory.loads += 1;
         if let Some(dep) = d.mem_dep {
             if (dep.inst_distance as usize) < self.cfg.machine.rob_size {
                 self.m.stats.memory.comm_loads += 1;
-                if d.is_partial_word_comm() {
+                if d.is_partial_word_comm(inst) {
                     self.m.stats.memory.partial_comm_loads += 1;
                 }
             }
@@ -1060,7 +1088,7 @@ impl<'p> Simulator<'p> {
         }
         if ls.oracle {
             self.m.stats.verification.reexec_filtered += 1;
-            self.emit_load_commit(&d, ls, false, false);
+            self.emit_load_commit(entry.inst, ls, false, false);
             return false;
         }
 
@@ -1069,10 +1097,6 @@ impl<'p> Simulator<'p> {
             self.m.stats.verification.backend_dcache_reads += 1;
             // All older stores have committed: this read is correct.
             let raw = self.m.timing_mem.read(d.addr, width.bytes());
-            let ext = match d.inst {
-                Inst::Load { ext, .. } => ext,
-                _ => unreachable!("load entry holds a load"),
-            };
             let ndata = load_extend(raw, width, ext);
             debug_assert_eq!(ndata, d.load_value(), "re-execution must be correct");
             self.m.hierarchy.load_latency(d.addr); // cache state effects
@@ -1125,19 +1149,23 @@ impl<'p> Simulator<'p> {
                     }
                 }
             }
-            LsuModel::Nosq { .. } => self.train_bypass_predictor(entry, &d, ls, mispredict),
+            LsuModel::Nosq { .. } => {
+                self.train_bypass_predictor(entry, &d, width.bytes() as u8, ls, mispredict)
+            }
             LsuModel::NosqOracle => {}
         }
-        self.emit_load_commit(&d, ls, reexec, mispredict);
+        self.emit_load_commit(entry.inst, ls, reexec, mispredict);
         mispredict
     }
 
-    /// Emits the commit-time verification record for one load (the
-    /// event `nosq-audit` cross-checks against the dependence oracle).
-    fn emit_load_commit(&mut self, d: &DynInst, ls: &LoadState, reexec: bool, mispredict: bool) {
+    /// Emits the commit-time verification record for the load at
+    /// `idx` (the event `nosq-audit` cross-checks against the
+    /// dependence oracle).
+    fn emit_load_commit(&mut self, idx: u32, ls: &LoadState, reexec: bool, mispredict: bool) {
         if self.observers.is_empty() {
             return;
         }
+        let d = &self.insts[idx];
         let kind = match ls.mode {
             LoadMode::Normal => CommittedLoadKind::Normal,
             LoadMode::Delayed => CommittedLoadKind::Delayed,
@@ -1145,7 +1173,7 @@ impl<'p> Simulator<'p> {
         };
         let ev = LoadCommitEvent {
             cycle: self.m.clock,
-            seq: d.seq,
+            seq: self.insts.seq(idx),
             pc: d.pc,
             addr: d.addr,
             kind,
@@ -1161,10 +1189,13 @@ impl<'p> Simulator<'p> {
         self.emit(|o| o.on_load_commit(&ev));
     }
 
+    /// Trains the bypassing predictor on a committed load `d` of
+    /// `width` bytes.
     fn train_bypass_predictor(
         &mut self,
         entry: &Entry,
         d: &DynInst,
+        width: u8,
         ls: &LoadState,
         mispredict: bool,
     ) {
@@ -1172,7 +1203,6 @@ impl<'p> Simulator<'p> {
         history.restore(entry.path_snap);
         if mispredict {
             self.m.stats.verification.bypass_mispredicts += 1;
-            let width = d.inst.mem_width().expect("load width").bytes() as u8;
             // Compute the actual distance/shift from the T-SSBF (§3.1:
             // distbyp = SSNcommit − T-SSBF[addr]; at the load's commit
             // SSNcommit equals its rename-time SSNrename).
@@ -1471,7 +1501,7 @@ impl<'p> Simulator<'p> {
                         );
                         if oracle {
                             let d = &self.insts[inst_idx];
-                            if let Inst::Load { width, ext, .. } = d.inst {
+                            if let Inst::Load { width, ext, .. } = *d.inst(self.code) {
                                 let stale = load_extend(
                                     self.m.timing_mem.read(d.addr, width.bytes()),
                                     width,
@@ -1522,8 +1552,8 @@ impl<'p> Simulator<'p> {
         let e = self.m.rob.get_abs(pos).expect("issued entry resident");
         let inst_idx = e.inst;
         let class = e.class;
-        let alu = match self.insts[inst_idx].inst {
-            Inst::Alu { kind, .. } => Some(kind),
+        let alu = match self.inst_of(inst_idx) {
+            Inst::Alu { kind, .. } => Some(*kind),
             _ => None,
         };
         let uid = e.uid;
@@ -1588,9 +1618,8 @@ impl<'p> Simulator<'p> {
             return; // value was computed at rename
         }
         let d = self.insts[e.inst];
-        let (width, ext) = match d.inst {
-            Inst::Load { width, ext, .. } => (width, ext),
-            _ => unreachable!("load entry"),
+        let Inst::Load { width, ext, .. } = *d.inst(self.code) else {
+            unreachable!("load entry")
         };
 
         let mut exec_value = load_extend(self.m.timing_mem.read(d.addr, width.bytes()), width, ext);
@@ -1655,14 +1684,10 @@ impl<'p> Simulator<'p> {
         let f = self.m.fetch_buffer.front().expect("caller checked");
         let inst_idx = f.inst;
         let path_snap = f.path_snap;
-        let (class, needs_dest, is_jump) = {
-            let d = &self.insts[inst_idx];
-            (
-                d.class,
-                d.inst.dest().is_some(),
-                matches!(d.inst, Inst::Jump { .. }),
-            )
-        };
+        let class = self.insts[inst_idx].class;
+        let inst = self.inst_of(inst_idx);
+        let dest = inst.dest();
+        let is_jump = matches!(inst, Inst::Jump { .. });
         let is_nosq = self.cfg.lsu.is_nosq();
 
         // --- Resource checks (no mutation yet) ---
@@ -1691,7 +1716,7 @@ impl<'p> Simulator<'p> {
                     }
                 } else {
                     // NoSQ decode-stage bypassing prediction.
-                    let plan = self.plan_nosq_load(inst_idx, path_snap);
+                    let plan = self.plan_nosq_load(inst_idx, inst, path_snap);
                     if matches!(plan.mode, LoadMode::Bypassed { partial: false }) {
                         needs_iq = false;
                     }
@@ -1712,14 +1737,14 @@ impl<'p> Simulator<'p> {
                 ..
             })
         );
-        if needs_dest && !pure_bypass && !self.m.regs.can_alloc() {
+        if dest.is_some() && !pure_bypass && !self.m.regs.can_alloc() {
             self.m.stats.stalls.reg_dispatch_stalls += 1;
             return false;
         }
 
         // --- Commit the dispatch ---
         let f = self.m.fetch_buffer.pop_front().expect("still present");
-        let srcs = self.rename_sources(inst_idx, &load_plan);
+        let srcs = self.rename_sources(inst, &load_plan);
         let mut entry = Entry {
             uid: f.uid,
             inst: inst_idx,
@@ -1748,10 +1773,10 @@ impl<'p> Simulator<'p> {
         }
 
         match class {
-            InstClass::Store => self.dispatch_store(&mut entry),
-            InstClass::Load => self.dispatch_load(&mut entry, load_plan.take()),
+            InstClass::Store => self.dispatch_store(&mut entry, inst),
+            InstClass::Load => self.dispatch_load(&mut entry, inst, load_plan.take()),
             _ => {
-                if let Some(rd) = self.insts[inst_idx].inst.dest() {
+                if let Some(rd) = dest {
                     let node = self.m.regs.alloc();
                     entry.prev_node = self.m.regs.remap(rd, Some(node));
                     entry.map_reg = Some(rd);
@@ -1779,7 +1804,7 @@ impl<'p> Simulator<'p> {
         true
     }
 
-    fn rename_sources(&self, inst_idx: u32, load_plan: &Option<LoadPlan>) -> [Option<NodeId>; 2] {
+    fn rename_sources(&self, inst: &Inst, load_plan: &Option<LoadPlan>) -> [Option<NodeId>; 2] {
         // A pure bypassed load has no out-of-order sources; a partial
         // bypass consumes only the store's data node (set later).
         if let Some(LoadPlan {
@@ -1790,7 +1815,7 @@ impl<'p> Simulator<'p> {
             return [None, None];
         }
         let mut srcs = [None, None];
-        for (i, reg) in self.insts[inst_idx].inst.sources().into_iter().enumerate() {
+        for (i, reg) in inst.sources().into_iter().enumerate() {
             if let Some(r) = reg {
                 srcs[i] = self.m.regs.mapping(r);
             }
@@ -1798,26 +1823,19 @@ impl<'p> Simulator<'p> {
         srcs
     }
 
-    fn dispatch_store(&mut self, entry: &mut Entry) {
-        let (data_reg, width, float32, pc, addr, store_data, stores_before) = {
+    fn dispatch_store(&mut self, entry: &mut Entry, inst: &Inst) {
+        let Inst::Store {
+            data: data_reg,
+            width,
+            float32,
+            ..
+        } = *inst
+        else {
+            unreachable!("store entry")
+        };
+        let (pc, addr, store_data, stores_before) = {
             let d = &self.insts[entry.inst];
-            match d.inst {
-                Inst::Store {
-                    data,
-                    width,
-                    float32,
-                    ..
-                } => (
-                    data,
-                    width,
-                    float32,
-                    d.pc,
-                    d.addr,
-                    d.store_data(),
-                    d.stores_before,
-                ),
-                _ => unreachable!("store entry"),
-            }
+            (d.pc, d.addr, d.store_data(), d.stores_before)
         };
         let ssn = self.m.ssn.next_rename();
         debug_assert_eq!(ssn.0, stores_before + 1, "ssn tracks the trace");
@@ -1848,10 +1866,10 @@ impl<'p> Simulator<'p> {
     }
 
     /// Decode-stage classification of a NoSQ load (paper Table 3).
-    fn plan_nosq_load(&mut self, inst_idx: u32, path_snap: u64) -> LoadPlan {
-        let (pc, dinst, dep_ssn) = {
+    fn plan_nosq_load(&mut self, inst_idx: u32, inst: &Inst, path_snap: u64) -> LoadPlan {
+        let (pc, dep_ssn) = {
             let d = &self.insts[inst_idx];
-            (d.pc, d.inst, d.dep_ssn())
+            (d.pc, d.dep_ssn())
         };
         if self.cfg.lsu == LsuModel::NosqOracle {
             // Perfect SMB: bypass exactly the loads with an in-flight
@@ -1891,9 +1909,13 @@ impl<'p> Simulator<'p> {
         if self.m.srq.get(ssn_byp).is_none() {
             return LoadPlan::normal(pred);
         };
-        let (lw, lext) = match dinst {
-            Inst::Load { width, ext, .. } => (width, ext),
-            _ => unreachable!("load"),
+        let Inst::Load {
+            width: lw,
+            ext: lext,
+            ..
+        } = *inst
+        else {
+            unreachable!("load")
         };
         // Fault injection: every `period`-th bypassing load is pointed
         // at a neighboring in-flight store instead of the predicted one
@@ -1942,9 +1964,17 @@ impl<'p> Simulator<'p> {
             })
     }
 
-    fn dispatch_load(&mut self, entry: &mut Entry, plan: Option<LoadPlan>) {
+    fn dispatch_load(&mut self, entry: &mut Entry, inst: &Inst, plan: Option<LoadPlan>) {
         let d = self.insts[entry.inst];
-        let rd = d.inst.dest();
+        let rd = inst.dest();
+        let Inst::Load {
+            width: lw,
+            ext: lext,
+            ..
+        } = *inst
+        else {
+            unreachable!("load entry")
+        };
         let mut ls = LoadState {
             mode: LoadMode::Normal,
             wait_exec: None,
@@ -2015,10 +2045,6 @@ impl<'p> Simulator<'p> {
                         ls.exec_value = if ls.oracle {
                             d.load_value()
                         } else {
-                            let (lw, lext) = match d.inst {
-                                Inst::Load { width, ext, .. } => (width, ext),
-                                _ => unreachable!("load"),
-                            };
                             let sw = match info.width {
                                 1 => MemWidth::B1,
                                 2 => MemWidth::B2,
@@ -2105,9 +2131,10 @@ impl<'p> Simulator<'p> {
             let ras_snap = self.m.ras.checkpoint();
             let mut mispredicted = false;
 
-            let (pc, rinst, taken, next_pc) = {
+            let rinst = self.inst_of(inst_idx);
+            let (pc, taken, next_pc) = {
                 let d = &self.insts[inst_idx];
-                (d.pc, d.inst, d.taken, d.next_pc())
+                (d.pc, d.taken, d.next_pc(rinst))
             };
             match rinst {
                 Inst::Branch { .. } => {
@@ -2183,6 +2210,17 @@ impl<'p> Simulator<'p> {
             self.m.stats.verification.ssn_wrap_drains += 1;
         }
     }
+}
+
+/// The state every session but a sampling window starts from: cold
+/// long-history structures, the program's initial memory image and SSN
+/// counters at zero.
+fn cold_start(program: &Program, cfg: &SimConfig) -> (WarmState, Memory, SsnCounters) {
+    (
+        WarmState::new(cfg),
+        program.initial_memory(),
+        SsnCounters::new(cfg.machine.ssn_bits),
+    )
 }
 
 /// Runs one simulation over `program` with `cfg` to completion and

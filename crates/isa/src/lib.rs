@@ -22,7 +22,9 @@
 //! * [`exec`] — the architectural executor ([`ArchState`]) that runs a
 //!   program and yields one [`ExecRecord`] per dynamic instruction. The
 //!   timing models are *functional-first*: they replay these records,
-//!   which `nosq-trace` packs into its compact `DynInst`.
+//!   which `nosq-trace` packs into its 48-byte `DynInst`. The record
+//!   keeps no copy of the static instruction; readers index
+//!   [`Program::code`] with its PC.
 //!
 //! ## Example
 //!

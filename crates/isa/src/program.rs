@@ -24,6 +24,15 @@ impl Program {
         self.insts.get((pc / INST_BYTES) as usize)
     }
 
+    /// The instruction image, indexed by `pc / INST_BYTES`: the static
+    /// instruction at an aligned `pc` is `code()[(pc / INST_BYTES) as
+    /// usize]`. Hot paths that already hold a valid PC index this slice
+    /// instead of paying [`inst_at`](Program::inst_at)'s alignment check
+    /// and `Option`.
+    pub fn code(&self) -> &[Inst] {
+        &self.insts
+    }
+
     /// Number of static instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -22,8 +22,8 @@ use nosq_trace::{synthesize, Profile};
 use crate::campaign::Preset;
 use crate::executor::parallel_map_indexed;
 
-/// The audit grid's default trace profiles (one per suite corner, the
-/// bench harness's throughput quartet).
+/// The audit grid's default trace profiles: one from each suite, plus
+/// gcc.
 pub const DEFAULT_PROFILES: [&str; 4] = ["gzip", "gcc", "applu", "gsm.e"];
 
 /// The presets the auditor exercises by default: every NoSQ variant

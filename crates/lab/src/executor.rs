@@ -60,7 +60,8 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
 /// Maps `f` over `0..len` using `threads` workers and a lock-free
 /// atomic-cursor pickup; results return in index order regardless of
 /// which worker computed what. The building block behind
-/// [`run_campaign`] and the bench harness's `parallel_over_profiles`.
+/// [`synthesize_programs`] (and so [`run_campaign`]), Table 5's
+/// trace-analysis pass and the audit grid ([`run_audit`](crate::run_audit)).
 ///
 /// # Panics
 ///
@@ -187,7 +188,7 @@ impl JobTiming {
 
 /// Largest per-job budget worth buffering for replay: beyond this the
 /// recorded trace's memory cost (`size_of::<DynInst>()` bytes per
-/// instruction, per worker; about 320 MB at this cap) outweighs
+/// instruction, per worker; 192 MB at this cap) outweighs
 /// re-running the streaming tracer per configuration.
 const REPLAY_BUDGET_CAP: u64 = 4_000_000;
 

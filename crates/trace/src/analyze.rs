@@ -85,7 +85,7 @@ mod tests {
                     if let Some(dep) = d.mem_dep {
                         if u64::from(dep.inst_distance) < window {
                             stats.comm_loads += 1;
-                            if d.is_partial_word_comm() {
+                            if d.is_partial_word_comm(d.inst(program.code())) {
                                 stats.partial_comm += 1;
                             }
                             if dep.coverage == Coverage::Partial {

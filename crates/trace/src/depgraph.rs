@@ -24,7 +24,7 @@
 //! stats](crate::analyze::analyze_program) are now derived from it via
 //! [`DependenceGraph::comm_stats`] instead of a second last-writer walk.
 
-use nosq_isa::{InstClass, Program};
+use nosq_isa::{Inst, InstClass, Program};
 
 use crate::analyze::CommStats;
 use crate::lastwriter::{ByteWriter, LastWriterMap};
@@ -124,25 +124,28 @@ pub struct DependenceGraph {
 }
 
 impl DependenceGraph {
-    /// Builds the graph from a recorded trace.
-    pub fn from_trace(trace: &TraceBuffer) -> DependenceGraph {
-        DependenceGraph::from_insts(trace.insts())
+    /// Builds the graph from a trace recorded from `program`.
+    pub fn from_trace(program: &Program, trace: &TraceBuffer) -> DependenceGraph {
+        DependenceGraph::from_insts(program, trace.insts())
     }
 
     /// Builds the graph by tracing `program` live (one functional pass).
     pub fn from_program(program: &Program, max_insts: u64) -> DependenceGraph {
+        let code = program.code();
         let mut b = DepGraphBuilder::new();
         for d in Tracer::new(program, max_insts) {
-            b.push(&d);
+            b.push(d.inst(code), &d);
         }
         b.finish()
     }
 
-    /// Builds the graph from any dynamic instruction slice.
-    pub fn from_insts(insts: &[DynInst]) -> DependenceGraph {
+    /// Builds the graph from a dynamic instruction stream of `program`,
+    /// starting at its first instruction.
+    pub fn from_insts(program: &Program, insts: &[DynInst]) -> DependenceGraph {
+        let code = program.code();
         let mut b = DepGraphBuilder::new();
         for d in insts {
-            b.push(d);
+            b.push(d.inst(code), d);
         }
         b.finish()
     }
@@ -237,15 +240,18 @@ impl DepGraphBuilder {
         }
     }
 
-    /// Feeds the next dynamic instruction, in program order.
-    pub fn push(&mut self, d: &DynInst) {
+    /// Feeds the next dynamic instruction, in program order, with its
+    /// static instruction `inst`. The builder numbers pushes from 0;
+    /// that count is the instruction's sequence number in the graph.
+    pub fn push(&mut self, inst: &Inst, d: &DynInst) {
+        let seq = self.insts;
         self.insts += 1;
         match d.class {
             InstClass::Store => {
-                let width = d.inst.mem_width().expect("store has width").bytes();
-                let float32 = matches!(d.inst, nosq_isa::Inst::Store { float32: true, .. });
+                let width = inst.mem_width().expect("store has width").bytes();
+                let float32 = matches!(inst, Inst::Store { float32: true, .. });
                 self.stores.push(StoreNode {
-                    seq: d.seq,
+                    seq,
                     ssn: d.stores_before + 1,
                     pc: d.pc,
                     addr: d.addr,
@@ -255,7 +261,7 @@ impl DepGraphBuilder {
                     d.addr,
                     width,
                     ByteWriter {
-                        store_seq: d.seq,
+                        store_seq: seq,
                         store_index: d.stores_before,
                         store_addr: d.addr,
                         store_width: width as u8,
@@ -264,7 +270,7 @@ impl DepGraphBuilder {
                 );
             }
             InstClass::Load => {
-                let width = d.inst.mem_width().expect("load has width").bytes();
+                let width = inst.mem_width().expect("load has width").bytes();
                 self.map.scan_bytes(d.addr, width, &mut self.scratch);
                 let mut byte_ssns = [0u64; 8];
                 let mut youngest: Option<ByteWriter> = None;
@@ -293,7 +299,7 @@ impl DepGraphBuilder {
                         Some(y) => (
                             y.store_index + 1,
                             d.stores_before - (y.store_index + 1),
-                            d.seq - y.store_seq,
+                            seq - y.store_seq,
                             d.addr.wrapping_sub(y.store_addr) as u8,
                             y.store_width < 8 || width < 8,
                         ),
@@ -312,7 +318,7 @@ impl DepGraphBuilder {
                     debug_assert_eq!(dep.shift, shift);
                 }
                 self.loads.push(LoadDep {
-                    seq: d.seq,
+                    seq,
                     pc: d.pc,
                     addr: d.addr,
                     width: width as u8,
@@ -505,23 +511,23 @@ mod tests {
         let profile = Profile::by_name("gzip").unwrap();
         let prog = synthesize(profile, 42);
         let trace = TraceBuffer::record(&prog, 20_000);
-        let g = DependenceGraph::from_trace(&trace);
+        let g = DependenceGraph::from_trace(&prog, &trace);
         assert_eq!(g.insts(), trace.len() as u64);
         let mut li = 0usize;
-        for d in trace.insts() {
+        for (seq, d) in trace.insts().iter().enumerate() {
             if d.class != InstClass::Load {
                 continue;
             }
             let l = &g.loads()[li];
             li += 1;
-            assert_eq!(l.seq, d.seq);
+            assert_eq!(l.seq, seq as u64);
             match d.mem_dep {
                 Some(dep) => {
                     assert_eq!(l.youngest_ssn, d.dep_ssn().unwrap());
                     assert_eq!(l.store_distance, u64::from(dep.store_distance));
                     assert_eq!(l.inst_distance, u64::from(dep.inst_distance));
                     assert_eq!(l.coverage, dep.coverage);
-                    assert_eq!(l.partial_word, d.is_partial_word_comm());
+                    assert_eq!(l.partial_word, d.is_partial_word_comm(d.inst(prog.code())));
                 }
                 None => assert!(!l.communicates()),
             }

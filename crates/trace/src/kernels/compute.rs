@@ -239,7 +239,7 @@ mod tests {
         let (mut taken, mut total) = (0u64, 0u64);
         for d in Tracer::new(&prog, 1_000_000) {
             // Count only the data-driven diamond branch (Ne condition).
-            if let nosq_isa::Inst::Branch { cond: Cond::Ne, .. } = d.inst {
+            if let nosq_isa::Inst::Branch { cond: Cond::Ne, .. } = d.inst(prog.code()) {
                 total += 1;
                 if d.taken {
                     taken += 1;

@@ -271,7 +271,7 @@ pub(crate) mod testutil {
                     if let Some(dep) = d.mem_dep {
                         if dep.inst_distance < 128 {
                             m.comm_loads += 1;
-                            if d.is_partial_word_comm() {
+                            if d.is_partial_word_comm(d.inst(prog.code())) {
                                 m.partial_comm += 1;
                             }
                             if dep.coverage == Coverage::Partial {

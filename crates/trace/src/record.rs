@@ -57,10 +57,18 @@ impl MemDep {
 /// One dynamic instruction as seen by the timing models.
 ///
 /// This is the record a [`TraceBuffer`](crate::TraceBuffer) stores, so
-/// `size_of::<DynInst>()` is a recorded trace's cost per instruction.
-/// It keeps only what the timing models cannot derive from the rest;
-/// the tracer packs each [`ExecRecord`] into one. The derived parts of
-/// an `ExecRecord` are methods:
+/// `size_of::<DynInst>()` (48 bytes) is a recorded trace's cost per
+/// instruction. It keeps only what the timing models cannot derive from
+/// the rest; the tracer packs each [`ExecRecord`] into one. Two facts
+/// live elsewhere:
+///
+/// * the static instruction is the program's at [`pc`](DynInst::pc);
+///   [`inst`](DynInst::inst) reads it from
+///   [`Program::code`](nosq_isa::Program::code);
+/// * the dynamic sequence number is the record's position in its
+///   stream (0-based, correct path only).
+///
+/// The derived parts of an `ExecRecord` are methods:
 ///
 /// * [`load_value`](DynInst::load_value) and
 ///   [`store_data`](DynInst::store_data) read [`value`](DynInst::value);
@@ -70,17 +78,13 @@ impl MemDep {
 ///   branch outcome and, for a return, `value`.
 ///
 /// The producing store of a load is not stored either: its sequence
-/// number is `seq - inst_distance` and its SSN is
+/// number is the load's minus `inst_distance` and its SSN is
 /// [`dep_ssn`](DynInst::dep_ssn), exact unless the distances saturated
 /// (see [`MemDep`]).
 #[derive(Copy, Clone, Debug)]
 pub struct DynInst {
-    /// Dynamic sequence number (0-based, correct path only).
-    pub seq: u64,
     /// PC of the instruction.
     pub pc: u64,
-    /// The instruction itself.
-    pub inst: Inst,
     /// Effective address (memory operations only, else 0).
     pub addr: u64,
     /// The one value no instruction needs two of: a load's
@@ -102,10 +106,10 @@ pub struct DynInst {
 }
 
 impl DynInst {
-    /// Packs the architectural record of dynamic instruction `seq`,
-    /// which follows `stores_before` stores. `mem_dep` starts `None`;
-    /// the tracer fills it in for loads.
-    pub(crate) fn pack(seq: u64, stores_before: u64, rec: &ExecRecord) -> DynInst {
+    /// Packs the architectural record of the dynamic instruction that
+    /// follows `stores_before` stores. `mem_dep` starts `None`; the
+    /// tracer fills it in for loads.
+    pub(crate) fn pack(stores_before: u64, rec: &ExecRecord) -> DynInst {
         let value = match rec.inst {
             Inst::Load { .. } => rec.load_value,
             Inst::Store { .. } => rec.store_data,
@@ -113,9 +117,7 @@ impl DynInst {
             _ => 0,
         };
         let d = DynInst {
-            seq,
             pc: rec.pc,
-            inst: rec.inst,
             addr: rec.addr,
             value,
             stores_before,
@@ -136,13 +138,25 @@ impl DynInst {
             rec.pc
         );
         debug_assert_eq!(
-            d.store_mem_bits(),
+            d.store_mem_bits(&rec.inst),
             rec.store_mem_bits,
             "store bits at {:#x}",
             rec.pc
         );
-        debug_assert_eq!(d.next_pc(), rec.next_pc, "next pc at {:#x}", rec.pc);
+        debug_assert_eq!(
+            d.next_pc(&rec.inst),
+            rec.next_pc,
+            "next pc at {:#x}",
+            rec.pc
+        );
         d
+    }
+
+    /// The static instruction, read from `code`, the recorded program's
+    /// [`Program::code`](nosq_isa::Program::code).
+    #[inline]
+    pub fn inst<'c>(&self, code: &'c [Inst]) -> &'c Inst {
+        &code[(self.pc / INST_BYTES) as usize]
     }
 
     /// Architecturally-correct load result, post-extension (loads only,
@@ -169,10 +183,11 @@ impl DynInst {
 
     /// The low `width` bytes a store writes to memory (stores only, else
     /// 0); differs from [`store_data`](DynInst::store_data) for
-    /// partial-word and `sts` stores.
+    /// partial-word and `sts` stores. `inst` is this record's static
+    /// instruction.
     #[inline]
-    pub fn store_mem_bits(&self) -> u64 {
-        match self.inst {
+    pub fn store_mem_bits(&self, inst: &Inst) -> u64 {
+        match *inst {
             Inst::Store { width, float32, .. } => store_memory_bits(self.value, width, float32),
             _ => 0,
         }
@@ -180,10 +195,11 @@ impl DynInst {
 
     /// PC of the next dynamic instruction: a taken branch's, a jump's
     /// or a call's target, a return's [`value`](DynInst::value), a
-    /// halt's own PC, and otherwise the fall-through.
+    /// halt's own PC, and otherwise the fall-through. `inst` is this
+    /// record's static instruction.
     #[inline]
-    pub fn next_pc(&self) -> u64 {
-        match self.inst {
+    pub fn next_pc(&self, inst: &Inst) -> u64 {
+        match *inst {
             Inst::Branch { target, .. } if self.taken => target,
             Inst::Jump { target } | Inst::Call { target, .. } => target,
             Inst::Ret { .. } => self.value,
@@ -206,9 +222,10 @@ impl DynInst {
 
     /// Whether this load's communication involves a partial word on
     /// either side (paper Table 5's "partial-word" column: either the
-    /// load or the store is less than eight bytes wide).
-    pub fn is_partial_word_comm(&self) -> bool {
-        match (&self.mem_dep, self.inst.mem_width()) {
+    /// load or the store is less than eight bytes wide). `inst` is this
+    /// record's static instruction.
+    pub fn is_partial_word_comm(&self, inst: &Inst) -> bool {
+        match (&self.mem_dep, inst.mem_width()) {
             (Some(dep), Some(w)) => dep.store_width < 8 || w.bytes() < 8,
             _ => false,
         }
@@ -220,17 +237,19 @@ mod tests {
     use super::*;
     use nosq_isa::{Extension, MemWidth, Reg};
 
-    fn load(seq: u64, stores_before: u64, width: MemWidth, mem_dep: Option<MemDep>) -> DynInst {
+    fn load_inst(width: MemWidth) -> Inst {
+        Inst::Load {
+            rd: Reg::int(1),
+            base: Reg::int(2),
+            ofs: 0,
+            width,
+            ext: Extension::Zero,
+        }
+    }
+
+    fn load(stores_before: u64, mem_dep: Option<MemDep>) -> DynInst {
         DynInst {
-            seq,
             pc: 0,
-            inst: Inst::Load {
-                rd: Reg::int(1),
-                base: Reg::int(2),
-                ofs: 0,
-                width,
-                ext: Extension::Zero,
-            },
             addr: 0x100,
             value: 0,
             stores_before,
@@ -256,7 +275,7 @@ mod tests {
         // Every byte here is paid once per recorded instruction: a field
         // that re-inflates the record must justify itself against this.
         assert!(
-            std::mem::size_of::<DynInst>() <= 80,
+            std::mem::size_of::<DynInst>() <= 48,
             "DynInst grew to {} bytes",
             std::mem::size_of::<DynInst>()
         );
@@ -265,16 +284,15 @@ mod tests {
 
     #[test]
     fn ssn_is_one_based() {
+        let inst = Inst::Store {
+            data: Reg::int(1),
+            base: Reg::int(2),
+            ofs: 0,
+            width: MemWidth::B8,
+            float32: false,
+        };
         let store = DynInst {
-            seq: 5,
             pc: 0,
-            inst: Inst::Store {
-                data: Reg::int(1),
-                base: Reg::int(2),
-                ofs: 0,
-                width: MemWidth::B8,
-                float32: false,
-            },
             addr: 0x100,
             value: 7,
             stores_before: 0,
@@ -284,34 +302,28 @@ mod tests {
         };
         assert_eq!(store.store_ssn(), Some(1));
         assert_eq!(store.store_data(), 7);
-        assert_eq!(store.store_mem_bits(), 7);
+        assert_eq!(store.store_mem_bits(&inst), 7);
         assert_eq!(store.load_value(), 0);
     }
 
     #[test]
     fn dep_ssn_from_distance() {
-        let load = load(10, 7, MemWidth::B8, Some(dep(2, 7, 8)));
+        let load = load(7, Some(dep(2, 7, 8)));
         // 7 stores renamed; distance 2 => SSN 5.
         assert_eq!(load.dep_ssn(), Some(5));
     }
 
     #[test]
     fn partial_word_flag_checks_both_sides() {
-        let mut load = load(1, 1, MemWidth::B8, Some(dep(0, 1, 8)));
-        assert!(!load.is_partial_word_comm());
+        let (wide, narrow) = (load_inst(MemWidth::B8), load_inst(MemWidth::B2));
+        let mut load = load(1, Some(dep(0, 1, 8)));
+        assert!(!load.is_partial_word_comm(&wide));
         load.mem_dep.as_mut().unwrap().store_width = 4;
-        assert!(load.is_partial_word_comm());
+        assert!(load.is_partial_word_comm(&wide));
         load.mem_dep.as_mut().unwrap().store_width = 8;
-        load.inst = Inst::Load {
-            rd: Reg::int(1),
-            base: Reg::int(2),
-            ofs: 0,
-            width: MemWidth::B2,
-            ext: Extension::Zero,
-        };
-        assert!(load.is_partial_word_comm());
+        assert!(load.is_partial_word_comm(&narrow));
         load.mem_dep = None;
-        assert!(!load.is_partial_word_comm());
+        assert!(!load.is_partial_word_comm(&narrow));
     }
 
     /// Steps an [`ArchState`](nosq_isa::ArchState) beside the tracer and
@@ -324,21 +336,21 @@ mod tests {
         let mut n = 0u64;
         for d in crate::Tracer::new(prog, budget) {
             let rec = arch.step(prog).expect("tracer and executor agree");
-            assert_eq!(d.seq, n);
+            let inst = d.inst(prog.code());
             assert_eq!(
-                (d.pc, d.inst, d.addr, d.taken),
+                (d.pc, *inst, d.addr, d.taken),
                 (rec.pc, rec.inst, rec.addr, rec.taken)
             );
             assert_eq!(d.class, rec.inst.class());
             assert_eq!(d.load_value(), rec.load_value, "load value of {d:?}");
             assert_eq!(d.store_data(), rec.store_data, "store data of {d:?}");
             assert_eq!(
-                d.store_mem_bits(),
+                d.store_mem_bits(inst),
                 rec.store_mem_bits,
                 "memory bits of {d:?}"
             );
-            assert_eq!(d.next_pc(), rec.next_pc, "next pc of {d:?}");
-            match d.inst {
+            assert_eq!(d.next_pc(inst), rec.next_pc, "next pc of {d:?}");
+            match inst {
                 Inst::Ret { .. } => seen[0] += 1,
                 Inst::Halt => seen[1] += 1,
                 Inst::Branch { .. } if !d.taken => seen[2] += 1,
@@ -387,7 +399,7 @@ mod tests {
         // in-flight window: SSN 5 instead of the exact 3, with
         // `u32::MAX + 5` stores renamed.
         let saturated = dep(MemDep::saturate(max + 2), u32::MAX, 8);
-        let far = load(max + 10, max + 5, MemWidth::B8, Some(saturated));
+        let far = load(max + 5, Some(saturated));
         assert_eq!(far.dep_ssn(), Some(5));
     }
 }

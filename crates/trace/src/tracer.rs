@@ -157,7 +157,8 @@ impl TraceBuffer {
         TraceBuffer { insts, max_insts }
     }
 
-    /// The recorded dynamic instructions.
+    /// The recorded dynamic instructions; record `i` is dynamic
+    /// instruction `i`, so a record's index is its sequence number.
     pub fn insts(&self) -> &[DynInst] {
         &self.insts
     }
@@ -200,7 +201,7 @@ impl Iterator for Tracer<'_> {
                 return None;
             }
         };
-        let mut dyn_inst = DynInst::pack(self.seq, self.stores, &rec);
+        let mut dyn_inst = DynInst::pack(self.stores, &rec);
 
         match dyn_inst.class {
             InstClass::Load => {
@@ -385,7 +386,7 @@ mod tests {
             let reused: Vec<_> = Tracer::with_arena(prog, 100, &mut map).collect();
             assert_eq!(owned.len(), reused.len());
             for (a, b) in owned.iter().zip(&reused) {
-                assert_eq!(a.seq, b.seq);
+                assert_eq!((a.pc, a.stores_before), (b.pc, b.stores_before));
                 assert_eq!(a.mem_dep, b.mem_dep);
             }
         }

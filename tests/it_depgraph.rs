@@ -127,9 +127,10 @@ fn mem_width(bytes: u64) -> MemWidth {
     }
 }
 
-/// A synthetic committed-stream instruction; `mem_dep` is left `None`
-/// (the builder computes its own dependences — that is the point).
-fn dyn_inst(seq: u64, stores_before: u64, op: &Op) -> DynInst {
+/// A synthetic committed-stream instruction and its static
+/// instruction; `mem_dep` is left `None` (the builder computes its own
+/// dependences — that is the point).
+fn dyn_inst(seq: u64, stores_before: u64, op: &Op) -> (Inst, DynInst) {
     let inst = if op.store {
         Inst::Store {
             data: Reg::int(1),
@@ -147,12 +148,10 @@ fn dyn_inst(seq: u64, stores_before: u64, op: &Op) -> DynInst {
             ext: Extension::Zero,
         }
     };
-    DynInst {
-        seq,
+    let d = DynInst {
         // Small static PC alphabet so store-set clustering has
         // something to merge.
         pc: 0x400 + (seq % 7) * 4,
-        inst,
         addr: op.addr,
         value: seq ^ 0xa5a5,
         stores_before,
@@ -163,7 +162,8 @@ fn dyn_inst(seq: u64, stores_before: u64, op: &Op) -> DynInst {
         } else {
             InstClass::Load
         },
-    }
+    };
+    (inst, d)
 }
 
 proptest! {
@@ -177,13 +177,13 @@ proptest! {
         let mut expected = Vec::new();
         let mut stores = 0u64;
         for (seq, op) in ops.iter().enumerate() {
-            let d = dyn_inst(seq as u64, stores, op);
-            builder.push(&d);
+            let (inst, d) = dyn_inst(seq as u64, stores, op);
+            builder.push(&inst, &d);
             if op.store {
                 stores += 1;
                 naive.record_store(stores, seq as u64, op.addr, op.width);
             } else {
-                expected.push((d.seq, naive.scan(seq as u64, stores, op.addr, op.width)));
+                expected.push((seq as u64, naive.scan(seq as u64, stores, op.addr, op.width)));
             }
         }
         let graph = builder.finish();
@@ -221,7 +221,8 @@ proptest! {
         let mut builder = DepGraphBuilder::new();
         let mut stores = 0u64;
         for (seq, op) in ops.iter().enumerate() {
-            builder.push(&dyn_inst(seq as u64, stores, op));
+            let (inst, d) = dyn_inst(seq as u64, stores, op);
+            builder.push(&inst, &d);
             if op.store {
                 stores += 1;
             }

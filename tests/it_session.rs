@@ -3,12 +3,12 @@
 //! artifacts carry every counter.
 
 use nosq_core::observer::{
-    BypassEvent, CommitEvent, CycleEvent, IntervalIpc, ReexecEvent, SimObserver, SquashCause,
-    SquashEvent,
+    BypassEvent, CommitEvent, CycleEvent, IntervalIpc, LoadCommitEvent, ReexecEvent, SimObserver,
+    SquashCause, SquashEvent,
 };
 use nosq_core::{simulate, SimConfig, SimReport, Simulator, StopCondition};
 use nosq_isa::InstClass;
-use nosq_trace::{synthesize, Profile};
+use nosq_trace::{synthesize, Profile, TraceBuffer};
 
 /// Counts every event category, deriving the same totals the pipeline
 /// accumulates internally.
@@ -193,4 +193,55 @@ fn serialization_covers_all_counters() {
         row.split(',').nth(cycles_col).unwrap(),
         report.cycles.to_string()
     );
+}
+
+/// Collects every committed load's verification record.
+#[derive(Default)]
+struct LoadCommits(Vec<LoadCommitEvent>);
+
+impl SimObserver for LoadCommits {
+    fn on_load_commit(&mut self, ev: &LoadCommitEvent) {
+        self.0.push(*ev);
+    }
+}
+
+/// A live session and a replay of the recorded trace number their
+/// instructions independently (the live instruction pool counts its
+/// allocations; replay uses the trace position), yet they must emit
+/// the same load-commit stream, and each event's `seq` must name the
+/// trace record it came from.
+#[test]
+fn live_and_replay_sessions_emit_the_same_load_commits() {
+    let n = 20_000;
+    for name in ["gzip", "gcc", "applu", "gsm.e"] {
+        let profile = Profile::by_name(name).expect("profile exists");
+        let program = synthesize(profile, nosq_bench::SEED);
+        let trace = TraceBuffer::record(&program, n);
+        for (preset, cfg) in [
+            ("nosq", SimConfig::nosq(n)),
+            ("baseline-storesets", SimConfig::baseline_storesets(n)),
+        ] {
+            let mut live = LoadCommits::default();
+            let mut sim = Simulator::new(&program, cfg.clone());
+            sim.attach_observer(Box::new(&mut live));
+            sim.run();
+            let mut replay = LoadCommits::default();
+            let mut sim = Simulator::replay(&program, cfg, &trace);
+            sim.attach_observer(Box::new(&mut replay));
+            sim.run();
+            let job = format!("{name} under {preset}");
+            assert!(!live.0.is_empty(), "{job}: no load committed");
+            assert_eq!(live.0.len(), replay.0.len(), "{job}");
+            for (l, r) in live.0.iter().zip(&replay.0) {
+                assert_eq!(l, r, "{job}");
+                let d = &trace.insts()[r.seq as usize];
+                assert_eq!(
+                    (d.pc, d.addr, d.stores_before),
+                    (r.pc, r.addr, r.stores_before),
+                    "{job}: seq {} names another record",
+                    r.seq
+                );
+            }
+        }
+    }
 }
