@@ -4,11 +4,13 @@
 //! A [`Simulator`](crate::Simulator) session owns several flat buffers
 //! whose capacity depends only on the machine configuration and the
 //! program's footprint: the ROB ring, the fetch buffer, the backend-exit
-//! queue, the squash-replay scratch, the issue-candidate list, the
-//! in-flight [`DynInst`] pool, the store-register-queue ring, and the
-//! tracer's paged last-writer map. Constructing a session from scratch
-//! allocates all of them; a campaign running thousands of jobs pays that
-//! cost — and the attendant page faults — per job.
+//! queue, the squash-replay queue and scratch, the issue-candidate
+//! lists, the store-register-queue ring, and the tracer's paged
+//! last-writer map. The instruction records are not among them: a
+//! session reads a recorded trace in place, and a traced session holds
+//! only a small buffer of its own stream. Constructing a session from
+//! scratch allocates all of them; a campaign running thousands of jobs
+//! pays that cost — and the attendant page faults — per job.
 //!
 //! [`SimArena`] breaks that cycle: it owns every one of those buffers
 //! between sessions. [`Simulator::with_arena`](crate::Simulator::with_arena)
@@ -33,7 +35,7 @@
 //! }
 //! ```
 
-use nosq_trace::{DynInst, LastWriterMap};
+use nosq_trace::LastWriterMap;
 
 use crate::pipeline::{Entry, Fetched, ReadyCand, Waiter, WheelEntry};
 use crate::srq::StoreInfo;
@@ -61,15 +63,13 @@ impl SimArena {
 /// taken wholesale by a session and returned at `finish`.
 #[derive(Default)]
 pub(crate) struct CoreBuffers {
-    /// In-flight dynamic-instruction slab.
-    pub(crate) insts: InstPool,
     /// The reorder buffer ring.
     pub(crate) rob: Ring<Entry>,
     /// Fetched-but-not-dispatched instructions.
     pub(crate) fetch: Ring<Fetched>,
     /// Backend-exit (commit-pipeline drain) deadlines.
     pub(crate) exits: Ring<u64>,
-    /// Squash-replay queue of instruction-pool indices.
+    /// Squash-replay queue of in-flight sequence numbers (low 32 bits).
     pub(crate) pending: Ring<u32>,
     /// Squash / observer scratch entries.
     pub(crate) scratch: Vec<Entry>,
@@ -90,7 +90,6 @@ impl CoreBuffers {
     /// Clears every buffer's *contents* while keeping its capacity —
     /// the per-session reset.
     pub(crate) fn clear(&mut self) {
-        self.insts.clear();
         self.rob.clear();
         self.fetch.clear();
         self.exits.clear();
@@ -102,99 +101,6 @@ impl CoreBuffers {
         self.waiter_free.clear();
         self.node_waiters.clear();
         // `srq` is re-initialized by `StoreRegisterQueue::with_storage`.
-    }
-}
-
-/// Index-addressed slab of in-flight [`DynInst`]s with a free list.
-///
-/// The pipeline stores each dynamic instruction exactly once, here, and
-/// passes 4-byte indices through the fetch buffer, ROB and replay
-/// queues instead of `size_of::<DynInst>()`-byte copies.
-///
-/// Each slot also holds its instruction's sequence number: the number
-/// of allocations before it since the last [`clear`](InstPool::clear).
-/// The live pipeline allocates in program order (a squash re-queues
-/// indices and never re-allocates), so that count is the dynamic
-/// sequence number.
-#[derive(Clone, Default)]
-pub(crate) struct InstPool {
-    slots: Vec<(u64, DynInst)>,
-    free: Vec<u32>,
-    allocated: u64,
-    /// Debug-build liveness tracking: `live[i]` iff slot `i` is
-    /// allocated. Turns double-release and use-after-release into
-    /// immediate assertion failures under `cargo test`; absent from
-    /// release builds entirely.
-    #[cfg(debug_assertions)]
-    live: Vec<bool>,
-}
-
-impl InstPool {
-    /// Stores `d`, numbered with the allocation count, returning its
-    /// slot index.
-    pub(crate) fn alloc(&mut self, d: DynInst) -> u32 {
-        let slot = (self.allocated, d);
-        self.allocated += 1;
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = slot;
-                #[cfg(debug_assertions)]
-                {
-                    debug_assert!(!self.live[i as usize], "free list held a live slot");
-                    self.live[i as usize] = true;
-                }
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                #[cfg(debug_assertions)]
-                self.live.push(true);
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Releases a slot for reuse. The caller must not touch `idx`
-    /// afterwards.
-    pub(crate) fn release(&mut self, idx: u32) {
-        debug_assert!((idx as usize) < self.slots.len());
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.live[idx as usize], "double release of pool slot {idx}");
-            self.live[idx as usize] = false;
-        }
-        self.free.push(idx);
-    }
-
-    /// The sequence number of the instruction in slot `idx`.
-    #[inline]
-    pub(crate) fn seq(&self, idx: u32) -> u64 {
-        self.slot(idx).0
-    }
-
-    #[inline]
-    fn slot(&self, idx: u32) -> &(u64, DynInst) {
-        #[cfg(debug_assertions)]
-        debug_assert!(self.live[idx as usize], "read of released pool slot {idx}");
-        &self.slots[idx as usize]
-    }
-
-    /// Drops all slots and restarts the numbering, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.allocated = 0;
-        #[cfg(debug_assertions)]
-        self.live.clear();
-    }
-}
-
-impl std::ops::Index<u32> for InstPool {
-    type Output = DynInst;
-
-    #[inline]
-    fn index(&self, idx: u32) -> &DynInst {
-        &self.slot(idx).1
     }
 }
 
@@ -485,28 +391,5 @@ mod tests {
             r.push_back(i);
         }
         assert_eq!(r.buf.len(), cap);
-    }
-
-    #[test]
-    fn pool_recycles_slots() {
-        let mut pool = InstPool::default();
-        let program = {
-            let mut asm = nosq_isa::Assembler::new();
-            asm.halt();
-            asm.finish()
-        };
-        let d = nosq_trace::Tracer::new(&program, 1).next().unwrap();
-        let a = pool.alloc(d);
-        let b = pool.alloc(d);
-        assert_ne!(a, b);
-        pool.release(a);
-        let c = pool.alloc(d);
-        assert_eq!(c, a, "freed slot is recycled");
-        assert_eq!(pool[b].pc, d.pc);
-        // Slots are numbered in allocation order, recycled or not.
-        assert_eq!((pool.seq(b), pool.seq(c)), (1, 2));
-        pool.clear();
-        let first = pool.alloc(d);
-        assert_eq!(pool.seq(first), 0, "clear restarts the count");
     }
 }

@@ -96,6 +96,15 @@ nosq_wire::wire_struct!(Fetched {
     mispredicted_branch
 });
 
+// `wire_struct!` concatenates fields, so `Machine`'s `front` encodes as
+// these four fields inline, in the checkpoint format's order.
+nosq_wire::wire_struct!(FrontEnd {
+    bpred,
+    btb,
+    ras,
+    path
+});
+
 nosq_wire::wire_struct!(Machine {
     clock,
     next_uid,
@@ -117,10 +126,7 @@ nosq_wire::wire_struct!(Machine {
     regs,
     timing_mem,
     hierarchy,
-    bpred,
-    btb,
-    ras,
-    path,
+    front,
     fetch_stall_until,
     fetch_stalled_on,
     halt_fetched,

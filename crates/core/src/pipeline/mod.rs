@@ -15,21 +15,21 @@
 //!
 //! # Datapath layout
 //!
-//! The hot-path state is flat and index-addressed. Each in-flight
-//! [`DynInst`] is stored exactly once and travels through the fetch
-//! buffer, ROB, and squash-replay queue as a 4-byte index into the
-//! session's `InstSupply`: live tracing copies each instruction into
-//! a recycled slab ([`InstPool`](crate::arena)), while replay indexes
-//! the recorded trace directly. The static instruction is read from
-//! the program's code ([`Program::code`]) at the record's PC, and the
-//! sequence number is the trace position (replay) or the pool's
-//! allocation count (live). The ROB and its sibling queues are
-//! power-of-two rings with stable absolute positions
+//! The hot-path state is flat and index-addressed. Every in-flight
+//! instruction is named by its dynamic sequence number: its
+//! [`DynInst`] is stored once, in the session's `InstSupply`, and the
+//! fetch buffer, ROB and squash-replay queue carry the number's low 32
+//! bits. A session over a recorded trace reads the trace in place; a
+//! traced session records its own stream into a small buffer a chunk
+//! at a time. The static instruction is read from the program's code
+//! ([`Program::code`]) at the record's PC. The ROB and its sibling
+//! queues are power-of-two rings with stable absolute positions
 //! ([`Ring`](crate::arena)), and the issue stage walks a compact
 //! candidate list of ROB positions instead of rescanning every ROB
-//! entry each cycle. All of it is recyclable across sessions through
-//! [`SimArena`] / [`Simulator::with_arena`] — reuse never changes a
-//! report byte, only where the memory comes from.
+//! entry each cycle. The rings and scheduler lists are recyclable
+//! across sessions through [`SimArena`] / [`Simulator::with_arena`] —
+//! reuse never changes a report byte, only where the memory comes
+//! from.
 //!
 //! Everything a checkpoint captures lives in one `Machine`; the
 //! [`Simulator`] around it holds only the configuration, the
@@ -44,13 +44,15 @@ mod tests;
 
 pub use ckpt::CkptError;
 
+use std::borrow::Cow;
+
 use nosq_isa::exec::load_extend;
 use nosq_isa::{Inst, InstClass, MemWidth, Memory, Program, Reg};
 use nosq_trace::{Coverage, DynInst, TraceBuffer, Tracer};
 use nosq_uarch::branch::{Btb, HybridPredictor, ReturnAddressStack};
 use nosq_uarch::{MemoryHierarchy, Ssn, SsnCounters, StoreSets, Tssbf, TssbfLookup};
 
-use crate::arena::{CoreBuffers, InstPool, Ring, SimArena};
+use crate::arena::{CoreBuffers, Ring, SimArena};
 use crate::bypass::{bypass_value, needs_shift_mask};
 use crate::config::{LsuModel, Scheduling, SimConfig};
 use crate::observer::{
@@ -125,12 +127,13 @@ impl LoadPlan {
 }
 
 /// One ROB entry. The dynamic instruction itself lives in the
-/// [`InstSupply`]; the entry carries its 4-byte index (plus a cached
+/// [`InstSupply`]; the entry names it by sequence number (plus a cached
 /// class, the one field the per-cycle loops touch constantly).
 #[derive(Clone, Debug)]
 pub(crate) struct Entry {
     uid: u64,
-    /// Index of this entry's [`DynInst`] in the [`InstSupply`].
+    /// The low 32 bits of this entry's sequence number, which
+    /// [`InstSupply`] resolves to its [`DynInst`].
     inst: u32,
     /// Cached `DynInst::class`.
     class: InstClass,
@@ -221,66 +224,89 @@ pub(crate) struct Waiter {
 /// `next` sentinel / empty waiter-list head.
 const NO_WAITER: u32 = u32::MAX;
 
-/// Where the pipeline's dynamic instructions come from, paired with the
-/// storage their 4-byte indices address. Both variants produce the
-/// identical stream.
+/// Records a traced session's tracer appends per refill. The tracer
+/// runs in bursts of this many instructions, and the session holds this
+/// many records plus the instructions in flight: a few hundred
+/// kilobytes, where recording a 1M-instruction trace first would hold
+/// 48 MB. It is also small enough that a 20k-instruction session, the
+/// size of the session tests, crosses about twenty refills.
+const CHUNK: usize = 1024;
+
+/// The pipeline's dynamic instructions: records `base..base + len` of
+/// the session's correct-path stream, addressed by sequence number.
 ///
-/// - `Live`: a [`Tracer`] executes the program functionally,
-///   interleaved with timing; each instruction is copied into the
-///   [`InstPool`](crate::arena) at fetch and its slot is recycled at
-///   retire.
-/// - `Replay`: a recorded [`TraceBuffer`] (functional work paid once,
-///   shared by many configurations). The index *is* the trace
-///   position, so replay never copies a `DynInst`; the arena's pool
-///   rides along idle so [`Simulator::finish`] can hand it back.
-enum InstSupply<'p> {
-    Live(Box<Tracer<'p>>, InstPool),
-    Replay(&'p [DynInst], InstPool),
+/// The fetch buffer, ROB and squash-replay queue carry the low 32 bits
+/// of a sequence number; indexing widens them against `base`, so a
+/// session can run past 2^32 instructions as long as it holds fewer
+/// than 2^32 records.
+///
+/// - A session over a recorded [`TraceBuffer`] (replay, resume, a
+///   sampling window) borrows the whole trace, with `base` 0.
+/// - A traced session ([`Simulator::new`]) owns a small buffer that its
+///   [`Tracer`] refills [`CHUNK`] records at a time whenever fetch
+///   reaches its end. Such a session starts at 0 and commits in order,
+///   so each refill first drops the records below the committed count.
+struct InstSupply<'p> {
+    records: Cow<'p, [DynInst]>,
+    base: u64,
+    tracer: Option<Box<Tracer<'p>>>,
 }
 
-impl InstSupply<'_> {
-    /// Pulls the next instruction as an index. Replay advances the
-    /// machine's cursor `next` up to `limit`; live tracing ignores both.
+impl<'p> InstSupply<'p> {
+    /// A supply over a recorded trace.
+    fn recorded(trace: &'p TraceBuffer) -> InstSupply<'p> {
+        InstSupply {
+            records: Cow::Borrowed(trace.insts()),
+            base: 0,
+            tracer: None,
+        }
+    }
+
+    /// A supply that records `tracer`'s stream as fetch needs it.
+    fn traced(tracer: Tracer<'p>) -> InstSupply<'p> {
+        InstSupply {
+            records: Cow::Owned(Vec::with_capacity(2 * CHUNK)),
+            base: 0,
+            tracer: Some(Box::new(tracer)),
+        }
+    }
+
+    /// Takes sequence number `*next` for fetch if it lies below `limit`
+    /// and has a record, refilling first when fetch has reached the end
+    /// of the held records. `committed` counts the committed
+    /// instructions, whose records a refill may drop.
     #[inline]
-    fn next_index(&mut self, next: &mut usize, limit: usize) -> Option<u32> {
-        match self {
-            InstSupply::Live(tracer, pool) => Some(pool.alloc(tracer.next()?)),
-            InstSupply::Replay(..) => {
-                if *next >= limit {
-                    return None;
-                }
-                let idx = *next as u32;
-                *next += 1;
-                Some(idx)
-            }
+    fn next(&mut self, next: &mut usize, limit: usize, committed: u64) -> Option<u32> {
+        let end = self.base + self.records.len() as u64;
+        if *next >= limit || (*next as u64 == end && !self.refill(committed)) {
+            return None;
         }
+        let seq = *next as u32;
+        *next += 1;
+        Some(seq)
     }
 
-    /// Returns a pool slot to the free list (a no-op for replay, whose
-    /// slots are the immutable trace itself).
+    /// Drops the records below `committed` and appends up to [`CHUNK`]
+    /// more from the tracer. Returns whether any were appended; a
+    /// supply without a tracer holds its whole stream already.
+    #[cold]
+    fn refill(&mut self, committed: u64) -> bool {
+        let Some(tracer) = self.tracer.as_deref_mut() else {
+            return false;
+        };
+        let records = self.records.to_mut();
+        records.drain(..(committed - self.base) as usize);
+        self.base = committed;
+        let held = records.len();
+        records.extend(tracer.take(CHUNK));
+        records.len() > held
+    }
+
+    /// The full sequence number of the held record named by `seq`'s
+    /// low 32 bits.
     #[inline]
-    fn release(&mut self, idx: u32) {
-        if let InstSupply::Live(_, pool) = self {
-            pool.release(idx);
-        }
-    }
-
-    /// The recyclable pool, for the arena hand-out and hand-back.
-    fn pool(&mut self) -> &mut InstPool {
-        match self {
-            InstSupply::Live(_, pool) | InstSupply::Replay(_, pool) => pool,
-        }
-    }
-
-    /// The dynamic sequence number of the instruction at `idx`: the
-    /// trace position for replay, the allocation count for live
-    /// tracing (which allocates in program order; a squash re-queues
-    /// indices and never re-allocates).
-    fn seq(&self, idx: u32) -> u64 {
-        match self {
-            InstSupply::Live(_, pool) => pool.seq(idx),
-            InstSupply::Replay(..) => u64::from(idx),
-        }
+    fn seq(&self, seq: u32) -> u64 {
+        self.base + u64::from(seq.wrapping_sub(self.base as u32))
     }
 }
 
@@ -288,16 +314,13 @@ impl std::ops::Index<u32> for InstSupply<'_> {
     type Output = DynInst;
 
     #[inline]
-    fn index(&self, idx: u32) -> &DynInst {
-        match self {
-            InstSupply::Live(_, pool) => &pool[idx],
-            InstSupply::Replay(trace, _) => &trace[idx as usize],
-        }
+    fn index(&self, seq: u32) -> &DynInst {
+        &self.records[seq.wrapping_sub(self.base as u32) as usize]
     }
 }
 
-/// A fetched-but-not-dispatched instruction (instruction index +
-/// front-end snapshots).
+/// A fetched-but-not-dispatched instruction (the low 32 bits of its
+/// sequence number + front-end snapshots).
 #[derive(Clone, Debug)]
 pub(crate) struct Fetched {
     inst: u32,
@@ -307,6 +330,62 @@ pub(crate) struct Fetched {
     bpred_snap: u64,
     ras_snap: (usize, usize),
     mispredicted_branch: bool,
+}
+
+/// The fetch stage's long-history state: the direction predictor, BTB,
+/// return address stack and path history. The pipeline's fetch stage
+/// and the sampler's functional warmer train it through one method,
+/// [`train`](FrontEnd::train).
+#[derive(Clone)]
+pub(crate) struct FrontEnd {
+    pub(crate) bpred: HybridPredictor,
+    pub(crate) btb: Btb,
+    pub(crate) ras: ReturnAddressStack,
+    pub(crate) path: PathHistory,
+}
+
+impl FrontEnd {
+    /// Cold front-end state for machine `m`.
+    pub(crate) fn new(m: &nosq_uarch::MachineConfig) -> FrontEnd {
+        FrontEnd {
+            bpred: HybridPredictor::new(m.bpred),
+            btb: Btb::new(m.btb_entries, m.btb_ways),
+            ras: ReturnAddressStack::new(m.ras_depth),
+            path: PathHistory::new(),
+        }
+    }
+
+    /// Trains on the correct-path instruction `d`, whose static
+    /// instruction is `inst`, and returns whether fetch mispredicted
+    /// it: a conditional branch against its predicted direction, or a
+    /// return against the RAS. Calls and jumps train the BTB (calls
+    /// the RAS and path too); other instructions change nothing.
+    #[inline]
+    pub(crate) fn train(&mut self, inst: &Inst, d: &DynInst) -> bool {
+        let pc = d.pc;
+        match inst {
+            Inst::Branch { .. } => {
+                let predicted = self.bpred.update(pc, d.taken);
+                self.path.push_branch(d.taken);
+                if d.taken {
+                    self.btb.update(pc, d.next_pc(inst));
+                }
+                predicted != d.taken
+            }
+            Inst::Call { .. } => {
+                self.ras.push(pc + nosq_isa::INST_BYTES);
+                self.path.push_call(pc);
+                self.btb.update(pc, d.next_pc(inst));
+                false
+            }
+            Inst::Ret { .. } => self.ras.pop() != Some(d.next_pc(inst)),
+            Inst::Jump { .. } => {
+                self.btb.update(pc, d.next_pc(inst));
+                false
+            }
+            _ => false,
+        }
+    }
 }
 
 /// When an incremental [`Simulator::run_until`] call should return.
@@ -345,19 +424,19 @@ impl std::fmt::Debug for StopCondition<'_> {
     }
 }
 
-/// A self-contained snapshot of a replay session's complete
-/// microarchitectural and architectural state, taken with
+/// A self-contained snapshot of the complete microarchitectural and
+/// architectural state of a session over a recorded trace, taken with
 /// [`Simulator::checkpoint`] and turned back into a running session by
 /// [`Simulator::resume`] / [`Simulator::resume_with_arena`].
 ///
 /// Restoration is bit-identical: resuming a checkpoint and running to
 /// completion produces the same [`SimReport`] as the uninterrupted
-/// session (pinned by `tests/it_checkpoint.rs`). Checkpoints exist only
-/// for *replay* sessions — the in-flight instruction window is captured
-/// as 4-byte trace indices, so a checkpoint must be resumed against the
-/// same recorded trace (same workload, same budget) it was taken from.
-/// Live-tracer sessions, whose functional front-end state lives outside
-/// the simulator, cannot be snapshotted.
+/// session (pinned by `tests/it_checkpoint.rs`). The in-flight
+/// instruction window is captured as sequence numbers, so a checkpoint
+/// must be resumed against the same recorded trace (same workload, same
+/// budget) it was taken from. A traced session ([`Simulator::new`])
+/// cannot be snapshotted: its tracer's functional state is not
+/// captured.
 pub struct SimCheckpoint {
     cfg: SimConfig,
     m: Machine,
@@ -380,12 +459,12 @@ pub struct SimCheckpoint {
 pub(crate) struct Machine {
     clock: u64,
     next_uid: u64,
-    /// Replay cursor: the next trace position to fetch and the end of
-    /// the replayed extent. Live tracing leaves both at zero.
+    /// The next sequence number to fetch and the end of the session's
+    /// extent of the stream (the trace length or instruction budget).
     stream_next: usize,
     stream_limit: usize,
     stream_done: bool,
-    /// Squash-replay queue (instruction indices, program order).
+    /// Squash-replay queue (sequence numbers, program order).
     pending: Ring<u32>,
     fetch_buffer: Ring<Fetched>,
     // Window.
@@ -411,11 +490,7 @@ pub(crate) struct Machine {
     // Memory.
     timing_mem: Memory,
     hierarchy: MemoryHierarchy,
-    // Front end.
-    bpred: HybridPredictor,
-    btb: Btb,
-    ras: ReturnAddressStack,
-    path: PathHistory,
+    front: FrontEnd,
     fetch_stall_until: u64,
     fetch_stalled_on: Option<u64>,
     halt_fetched: bool,
@@ -451,7 +526,8 @@ pub struct Simulator<'p> {
     cycle_cap: u64,
     /// The program's static instructions ([`Program::code`]).
     code: &'p [Inst],
-    /// Instruction supply; in-flight instructions are addressed by index.
+    /// Instruction supply; in-flight instructions are addressed by
+    /// sequence number.
     insts: InstSupply<'p>,
     /// Squash scratch (drained ROB entries), reused across squashes and
     /// empty between steps.
@@ -467,9 +543,7 @@ impl<'p> Simulator<'p> {
     /// Builds a simulator over `program` with session-owned buffers.
     pub fn new(program: &'p Program, cfg: SimConfig) -> Simulator<'p> {
         let tracer = Tracer::new(program, cfg.max_insts);
-        let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
-        let start = cold_start(program, &cfg);
-        Simulator::build(program.code(), cfg, insts, 0..0, start, None)
+        Simulator::build_traced(program, cfg, tracer, None)
     }
 
     /// Builds a simulator over `program` that borrows its hot-path
@@ -488,22 +562,33 @@ impl<'p> Simulator<'p> {
     ) -> Simulator<'p> {
         let SimArena { trace, core } = arena;
         let tracer = Tracer::with_arena(program, cfg.max_insts, trace);
-        let insts = InstSupply::Live(Box::new(tracer), InstPool::default());
+        Simulator::build_traced(program, cfg, tracer, Some(core))
+    }
+
+    /// A traced session: fetch records `tracer`'s stream as it goes.
+    fn build_traced(
+        program: &'p Program,
+        cfg: SimConfig,
+        tracer: Tracer<'p>,
+        core: Option<&'p mut CoreBuffers>,
+    ) -> Simulator<'p> {
+        let limit = usize::try_from(cfg.max_insts).unwrap_or(usize::MAX);
         let start = cold_start(program, &cfg);
-        Simulator::build(program.code(), cfg, insts, 0..0, start, Some(core))
+        let insts = InstSupply::traced(tracer);
+        Simulator::build(program.code(), cfg, insts, 0..limit, start, core)
     }
 
     /// Builds a simulator that replays a recorded [`TraceBuffer`]
-    /// instead of tracing live. The functional front end runs once per
-    /// (program, budget); every configuration sharing the trace skips
-    /// it entirely, with bit-identical reports (the dynamic stream does
-    /// not depend on the timing configuration).
+    /// instead of tracing the program. The functional front end runs
+    /// once per (program, budget); every configuration sharing the
+    /// trace skips it entirely, with bit-identical reports (the dynamic
+    /// stream does not depend on the timing configuration).
     ///
     /// # Panics
     ///
     /// Panics if the trace's recording budget does not
     /// [cover](TraceBuffer::covers) `cfg.max_insts` (the replay would
-    /// truncate earlier than a live trace).
+    /// truncate earlier than a traced session).
     pub fn replay(program: &'p Program, cfg: SimConfig, trace: &'p TraceBuffer) -> Simulator<'p> {
         Simulator::build_replay(program, cfg, trace, None)
     }
@@ -541,10 +626,10 @@ impl<'p> Simulator<'p> {
         let limit = trace.len().min(cfg.max_insts as usize);
         assert!(
             limit <= u32::MAX as usize,
-            "replay indices are 4 bytes; budget {limit} does not fit"
+            "in-flight sequence numbers are 4 bytes; budget {limit} does not fit"
         );
-        let insts = InstSupply::Replay(trace.insts(), InstPool::default());
         let start = cold_start(program, &cfg);
+        let insts = InstSupply::recorded(trace);
         Simulator::build(program.code(), cfg, insts, 0..limit, start, core)
     }
 
@@ -584,24 +669,24 @@ impl<'p> Simulator<'p> {
         );
         assert!(
             end <= u32::MAX as usize,
-            "replay indices are 4 bytes; window end {end} does not fit"
+            "in-flight sequence numbers are 4 bytes; window end {end} does not fit"
         );
-        let supply = InstSupply::Replay(insts, InstPool::default());
         let ssn = SsnCounters::seeded(cfg.machine.ssn_bits, insts[offset].stores_before);
         let start = (warm.clone(), mem, ssn);
+        let supply = InstSupply::recorded(trace);
         let mut sim = Simulator::build(program.code(), cfg, supply, offset..end, start, core);
         sim.cycle_cap = 1_000_000 + (len as u64).saturating_mul(300);
         sim
     }
 
-    /// Assembles a session over `code` that fetches `insts` (replay
-    /// reads trace positions `cursor`) and starts from `start`: the
+    /// Assembles a session over `code` that fetches the sequence
+    /// numbers `cursor` from `insts` and starts from `start`: the
     /// long-history state, the memory image and the SSN counters
     /// ([`cold_start`] for every session but a sampling window).
     fn build(
         code: &'p [Inst],
         cfg: SimConfig,
-        mut insts: InstSupply<'p>,
+        insts: InstSupply<'p>,
         cursor: std::ops::Range<usize>,
         start: (WarmState, Memory, SsnCounters),
         core: Option<&'p mut CoreBuffers>,
@@ -614,7 +699,6 @@ impl<'p> Simulator<'p> {
         };
         bufs.clear();
         let CoreBuffers {
-            insts: pool,
             mut rob,
             fetch,
             exits,
@@ -627,15 +711,11 @@ impl<'p> Simulator<'p> {
             node_waiters,
             srq,
         } = bufs;
-        *insts.pool() = pool;
         rob.reserve(mc.rob_size);
         let (warm, timing_mem, ssn) = start;
         let WarmState {
             hierarchy,
-            bpred,
-            btb,
-            ras,
-            path,
+            front,
             predictor,
             tssbf,
         } = warm;
@@ -660,10 +740,7 @@ impl<'p> Simulator<'p> {
             regs: RegState::new(mc.phys_regs),
             timing_mem,
             hierarchy,
-            bpred,
-            btb,
-            ras,
-            path,
+            front,
             fetch_stall_until: 0,
             fetch_stalled_on: None,
             halt_fetched: false,
@@ -771,14 +848,14 @@ impl<'p> Simulator<'p> {
     ///
     /// # Panics
     ///
-    /// Panics on a live-tracer session (only replay sessions are
-    /// snapshottable; see [`SimCheckpoint`]) or when observers are
+    /// Panics on a traced session (only sessions over a recorded trace
+    /// are snapshottable; see [`SimCheckpoint`]) or when observers are
     /// attached (observer state is caller-owned and cannot be
     /// captured).
     pub fn checkpoint(&self) -> SimCheckpoint {
         assert!(
-            matches!(self.insts, InstSupply::Replay(..)),
-            "checkpoint requires a replay session; live tracer state is not snapshottable"
+            self.insts.tracer.is_none(),
+            "checkpoint requires a session over a recorded trace; tracer state is not snapshottable"
         );
         assert!(
             self.observers.is_empty(),
@@ -855,7 +932,6 @@ impl<'p> Simulator<'p> {
     fn release_buffers(&mut self) {
         if let Some(core) = self.arena_core.take() {
             *core = CoreBuffers {
-                insts: std::mem::take(self.insts.pool()),
                 rob: std::mem::take(&mut self.m.rob),
                 fetch: std::mem::take(&mut self.m.fetch_buffer),
                 exits: std::mem::take(&mut self.m.backend_exits),
@@ -1004,10 +1080,8 @@ impl<'p> Simulator<'p> {
                     };
                     self.emit(|o| o.on_squash(&ev));
                 }
-                self.insts.release(entry.inst);
                 break;
             }
-            self.insts.release(entry.inst);
         }
     }
 
@@ -1298,11 +1372,12 @@ impl<'p> Simulator<'p> {
         if let Some((inst, path, bh, ras)) = oldest {
             let squash_point = Ssn(self.insts[inst].stores_before);
             self.m.ssn.rollback_rename(squash_point);
-            self.m.path.restore(path);
-            self.m.bpred.set_history(bh);
-            self.m.ras.restore(ras);
+            let front = &mut self.m.front;
+            front.path.restore(path);
+            front.bpred.set_history(bh);
+            front.ras.restore(ras);
         }
-        // Re-queue instruction indices in program order: youngest first onto
+        // Re-queue sequence numbers in program order: youngest first onto
         // the front, so the queue reads oldest-to-youngest.
         while let Some(f) = self.m.fetch_buffer.pop_back() {
             self.m.pending.push_front(f.inst);
@@ -2116,8 +2191,9 @@ impl<'p> Simulator<'p> {
         let mut branches = 0;
         while budget > 0 {
             let next = self.m.pending.pop_front().or_else(|| {
+                let m = &mut self.m;
                 self.insts
-                    .next_index(&mut self.m.stream_next, self.m.stream_limit)
+                    .next(&mut m.stream_next, m.stream_limit, m.stats.insts)
             });
             let Some(inst_idx) = next else {
                 self.m.stream_done = true;
@@ -2126,42 +2202,14 @@ impl<'p> Simulator<'p> {
             budget -= 1;
             let uid = self.m.next_uid;
             self.m.next_uid += 1;
-            let path_snap = self.m.path.snapshot();
-            let bpred_snap = self.m.bpred.history();
-            let ras_snap = self.m.ras.checkpoint();
-            let mut mispredicted = false;
-
+            let front = &self.m.front;
+            let path_snap = front.path.snapshot();
+            let bpred_snap = front.bpred.history();
+            let ras_snap = front.ras.checkpoint();
             let rinst = self.inst_of(inst_idx);
-            let (pc, taken, next_pc) = {
-                let d = &self.insts[inst_idx];
-                (d.pc, d.taken, d.next_pc(rinst))
-            };
-            match rinst {
-                Inst::Branch { .. } => {
-                    let pred_dir = self.m.bpred.predict(pc);
-                    self.m.bpred.update(pc, taken);
-                    self.m.path.push_branch(taken);
-                    if taken {
-                        self.m.btb.update(pc, next_pc);
-                    }
-                    mispredicted = pred_dir != taken;
-                }
-                Inst::Call { .. } => {
-                    self.m.ras.push(pc + nosq_isa::INST_BYTES);
-                    self.m.path.push_call(pc);
-                    self.m.btb.update(pc, next_pc);
-                }
-                Inst::Ret { .. } => {
-                    let predicted = self.m.ras.pop();
-                    mispredicted = predicted != Some(next_pc);
-                }
-                Inst::Jump { .. } => {
-                    self.m.btb.update(pc, next_pc);
-                }
-                Inst::Halt => {
-                    self.m.halt_fetched = true;
-                }
-                _ => {}
+            let mispredicted = self.m.front.train(rinst, &self.insts[inst_idx]);
+            if let Inst::Halt = rinst {
+                self.m.halt_fetched = true;
             }
 
             if mispredicted {

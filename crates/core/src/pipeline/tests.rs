@@ -4,7 +4,7 @@
 use nosq_isa::{Assembler, Cond, Extension, MemWidth, Reg};
 
 use crate::config::{LsuModel, Scheduling, SimConfig};
-use crate::pipeline::simulate;
+use crate::pipeline::{simulate, InstSupply, Simulator, CHUNK};
 use crate::report::SimReport;
 
 fn all_configs(max: u64) -> Vec<(&'static str, SimConfig)> {
@@ -393,4 +393,68 @@ fn load_heavy_code_bounded_by_cache_port() {
     let r = simulate(&prog, SimConfig::baseline_perfect(100_000));
     assert!(r.ipc() <= 4.0, "ipc {}", r.ipc());
     assert!(r.ipc() > 0.5, "ipc {}", r.ipc());
+}
+
+/// A traced session records its stream a chunk at a time and drops
+/// what has committed before each refill, so it holds at most [`CHUNK`]
+/// records plus the instructions in flight, however long it runs. The
+/// in-flight count is not bounded by the ROB (the fetch buffer has no
+/// capacity limit), so the bound tracks its observed peak.
+#[test]
+fn a_traced_session_holds_a_chunk_plus_the_instructions_in_flight() {
+    let n = 200_000;
+    for name in ["gzip", "applu"] {
+        let profile = nosq_trace::Profile::by_name(name).expect("profile exists");
+        let program = nosq_trace::synthesize(profile, 42);
+        for (preset, cfg) in [
+            ("nosq", SimConfig::nosq(n)),
+            ("baseline-storesets", SimConfig::baseline_storesets(n)),
+        ] {
+            let mut sim = Simulator::new(&program, cfg.with_window256());
+            let mut in_flight_peak = 0;
+            while sim.step() {
+                let in_flight = sim.m.stream_next as u64 - sim.m.stats.insts;
+                in_flight_peak = in_flight.max(in_flight_peak);
+                let held = sim.insts.records.len() as u64;
+                assert!(
+                    held <= CHUNK as u64 + in_flight_peak,
+                    "{name} under {preset}: {held} records held at {} committed, \
+                     {in_flight_peak} in flight at most",
+                    sim.m.stats.insts
+                );
+            }
+            assert_eq!(sim.stats().insts, n, "{name} under {preset}");
+        }
+    }
+}
+
+/// In-flight instructions carry the low 32 bits of their sequence
+/// numbers, which the supply widens against its base: a traced session
+/// refilled across 2^32 reads every record under its own number.
+#[test]
+fn sequence_numbers_resolve_across_the_32_bit_wrap() {
+    let profile = nosq_trace::Profile::by_name("gzip").expect("profile exists");
+    let program = nosq_trace::synthesize(profile, 42);
+    let want = nosq_trace::TraceBuffer::record(&program, 3 * CHUNK as u64);
+    let base = u64::from(u32::MAX) - 100;
+    let mut supply = InstSupply::traced(nosq_trace::Tracer::new(&program, want.len() as u64));
+    supply.base = base;
+    let mut next = base as usize;
+    for (k, d) in want.insts().iter().enumerate() {
+        // Everything fetched so far has committed, so a refill may drop it.
+        let committed = next as u64;
+        let seq = supply
+            .next(&mut next, usize::MAX, committed)
+            .expect("a record for every traced instruction");
+        assert_eq!(supply.seq(seq), base + k as u64);
+        let got = &supply[seq];
+        assert_eq!(
+            (got.pc, got.addr, got.stores_before),
+            (d.pc, d.addr, d.stores_before),
+            "record {k}"
+        );
+    }
+    let committed = next as u64;
+    assert_eq!(supply.next(&mut next, usize::MAX, committed), None);
+    assert!(supply.base > u64::from(u32::MAX), "refilled past the wrap");
 }

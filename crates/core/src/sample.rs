@@ -54,13 +54,12 @@
 
 use nosq_isa::{Inst, InstClass, Memory, Program};
 use nosq_trace::{Coverage, DynInst, TraceBuffer};
-use nosq_uarch::branch::{Btb, HybridPredictor, ReturnAddressStack};
 use nosq_uarch::{MemoryHierarchy, Ssn, Tlb, Tssbf};
 
 use crate::arena::SimArena;
 use crate::config::SimConfig;
-use crate::pipeline::{Simulator, StopCondition};
-use crate::predictor::{BypassingPredictor, PathHistory};
+use crate::pipeline::{FrontEnd, Simulator, StopCondition};
+use crate::predictor::BypassingPredictor;
 
 /// Detailed warming prefix simulated (but not measured) at the head of
 /// every window: the window replays `DETAIL_WARMUP + interval`
@@ -191,8 +190,9 @@ pub fn sampled_replay_with_arena(
     let (code, insts) = (program.code(), trace.insts());
     let total = (insts.len() as u64).min(cfg.max_insts);
     let span = total.saturating_sub(plan.warmup);
-    // Each window's full extent includes its detailed-warming prefix.
-    let extent = DETAIL_WARMUP + plan.interval;
+    // Each window's full extent includes its detailed-warming prefix;
+    // an interval longer than the trace covers the rest of it.
+    let extent = DETAIL_WARMUP.saturating_add(plan.interval);
     // Spread the windows evenly over the post-warm-up span, but never
     // closer than one window extent apart: windows must not overlap,
     // so the functional cursor only ever moves forward.
@@ -244,18 +244,17 @@ pub fn sampled_replay_with_arena(
 ///
 /// The warmer mirrors the pipeline's *committed-path* updates — the
 /// same table writes the fetch and commit stages perform, driven from
-/// the trace's per-instruction records instead of simulated execution.
-/// It deliberately models only state whose training horizon exceeds a
-/// window's detailed prefix: predictors, caches, and the T-SSBF.
+/// the trace's per-instruction records instead of simulated execution;
+/// the front end trains through the fetch stage's own
+/// [`FrontEnd::train`]. It deliberately models only state whose
+/// training horizon exceeds a window's detailed prefix: predictors,
+/// caches, and the T-SSBF.
 /// Occupancy-like state (ROB, queues, in-flight stores) refills within
 /// a few hundred cycles and is left to [`DETAIL_WARMUP`].
 #[derive(Clone)]
 pub(crate) struct WarmState {
     pub(crate) hierarchy: MemoryHierarchy,
-    pub(crate) bpred: HybridPredictor,
-    pub(crate) btb: Btb,
-    pub(crate) ras: ReturnAddressStack,
-    pub(crate) path: PathHistory,
+    pub(crate) front: FrontEnd,
     pub(crate) predictor: BypassingPredictor,
     pub(crate) tssbf: Tssbf,
 }
@@ -273,10 +272,7 @@ impl WarmState {
                 m.mem_latency,
                 m.tlb_miss_penalty,
             ),
-            bpred: HybridPredictor::new(m.bpred),
-            btb: Btb::new(m.btb_entries, m.btb_ways),
-            ras: ReturnAddressStack::new(m.ras_depth),
-            path: PathHistory::new(),
+            front: FrontEnd::new(m),
             predictor: BypassingPredictor::new(cfg.predictor),
             tssbf: Tssbf::new(128, 4),
         }
@@ -293,7 +289,6 @@ impl WarmState {
     }
 
     fn observe(&mut self, d: &DynInst, inst: &Inst, mem: &mut Memory) {
-        let pc = d.pc;
         match d.class {
             InstClass::Load => {
                 // Predict/train *before* any history update, matching
@@ -312,27 +307,7 @@ impl WarmState {
             }
             _ => {}
         }
-        match inst {
-            Inst::Branch { .. } => {
-                self.bpred.update(pc, d.taken);
-                self.path.push_branch(d.taken);
-                if d.taken {
-                    self.btb.update(pc, d.next_pc(inst));
-                }
-            }
-            Inst::Call { .. } => {
-                self.ras.push(pc + nosq_isa::INST_BYTES);
-                self.path.push_call(pc);
-                self.btb.update(pc, d.next_pc(inst));
-            }
-            Inst::Ret { .. } => {
-                self.ras.pop();
-            }
-            Inst::Jump { .. } => {
-                self.btb.update(pc, d.next_pc(inst));
-            }
-            _ => {}
-        }
+        self.front.train(inst, d);
     }
 
     /// Trains the bypassing predictor the way commit-time verification
@@ -341,7 +316,8 @@ impl WarmState {
     /// "actual" a mispredicted load would learn; a load whose producer
     /// is out of range (or absent) verifies clean through the cache.
     fn train_load(&mut self, d: &DynInst) {
-        let pred = self.predictor.predict(d.pc, &self.path);
+        let path = &self.front.path;
+        let pred = self.predictor.predict(d.pc, path);
         let truth = d.mem_dep.and_then(|dep| {
             (dep.store_distance <= 63).then(|| {
                 let shift = if dep.coverage == Coverage::Full {
@@ -354,17 +330,17 @@ impl WarmState {
         });
         match (pred, truth) {
             (Some(p), Some(t)) if (p.dist, p.shift) == t => {
-                self.predictor.train_correct(d.pc, &self.path);
+                self.predictor.train_correct(d.pc, path);
             }
             (pred, Some(t)) => {
                 let had_path = pred.map(|p| p.path_sensitive).unwrap_or(false);
                 self.predictor
-                    .train_mispredict(d.pc, &self.path, had_path, Some(t));
+                    .train_mispredict(d.pc, path, had_path, Some(t));
             }
             (Some(_), None) => {
                 // Predicted store is long committed: the pipeline falls
                 // back to a normal cache access and verifies clean.
-                self.predictor.train_correct(d.pc, &self.path);
+                self.predictor.train_correct(d.pc, path);
             }
             (None, None) => {}
         }
@@ -483,6 +459,24 @@ mod tests {
                 assert_eq!(est, want, "{name} under {preset}");
             }
         }
+    }
+
+    /// An interval longer than the trace measures the rest of it, as
+    /// an interval of exactly the trace's length does; the extent must
+    /// not wrap to a window that measures nothing.
+    #[test]
+    fn an_interval_past_the_trace_covers_the_rest_of_it() {
+        let n = 6_000;
+        let (program, trace) = workload("gzip", n);
+        let plan = |interval| SamplePlan {
+            warmup: 0,
+            interval,
+            count: 1,
+        };
+        let exact = sampled_replay(&program, SimConfig::nosq(n), &trace, &plan(n));
+        let huge = sampled_replay(&program, SimConfig::nosq(n), &trace, &plan(u64::MAX));
+        assert_eq!(huge, exact);
+        assert!(huge.measured_insts > 0, "the window measured nothing");
     }
 
     /// A window opened at trace offset 0 with cold warm state is the

@@ -207,8 +207,9 @@ struct JobCkpt<'a> {
 
 /// Runs grid job `i` as an incremental session on `worker`: the
 /// worker's cached trace (re-recorded on profile change) replayed with
-/// arena-recycled buffers, or a live trace when buffering would not
-/// pay, advanced in chunks after each of which progress is published.
+/// arena-recycled buffers, or a traced session when recording first
+/// would not pay, advanced in chunks after each of which progress is
+/// published.
 /// Chunked, replayed, resumed and arena-backed execution is
 /// bit-identical to a one-shot `simulate()` (the session API's core
 /// guarantee), so none of this changes results, only wall-clock.
@@ -229,11 +230,12 @@ fn run_job(
         Some(k) => (k.every, k.resume, k.sink),
         None => (0, None, &mut no_sink),
     };
-    // Snapshots need a replay session, so a checkpointing or resumed
-    // job always buffers its trace. Otherwise buffer only when the
-    // trace will be replayed (several configurations per profile) and
-    // stays reasonably sized; else trace live and streaming, with no
-    // per-job allocation spike.
+    // Snapshots need a session over a recorded trace, so a
+    // checkpointing or resumed job always records its trace first.
+    // Otherwise record first only when the trace will be replayed
+    // (several configurations per profile) and stays reasonably sized;
+    // else run a traced session, which records its own stream a chunk
+    // at a time and holds little more than the instructions in flight.
     let replay =
         every > 0 || resume.is_some() || (n_configs > 1 && cfg.max_insts <= REPLAY_BUDGET_CAP);
     let mut trace_secs = 0.0;

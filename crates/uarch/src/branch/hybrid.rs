@@ -71,19 +71,23 @@ impl HybridPredictor {
     }
 
     /// Trains all components on the resolved outcome and advances global
-    /// history.
-    pub fn update(&mut self, pc: u64, taken: bool) {
+    /// history. Returns the direction [`predict`](Self::predict) gave
+    /// before the update.
+    pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let g = self.gshare.predict(pc);
         let b = self.bimodal.predict(pc);
+        let mut predicted = g;
         // Chooser moves toward whichever component was right (when they
         // disagree).
         if g != b {
             let i = self.chooser_index(pc);
+            predicted = if self.chooser[i].predict() { g } else { b };
             self.chooser[i].update(g == taken);
         }
         self.gshare.update(pc, taken);
         self.bimodal.update(pc, taken);
         self.gshare.push_history(taken);
+        predicted
     }
 
     /// Global-history checkpoint (for squash recovery).
@@ -117,7 +121,11 @@ mod tests {
                 total += 1;
                 correct += (pred == taken) as usize;
             }
-            p.update(0x100, taken);
+            assert_eq!(
+                p.update(0x100, taken),
+                pred,
+                "update returns the prediction"
+            );
         }
         correct as f64 / total as f64
     }

@@ -205,11 +205,11 @@ impl SimObserver for LoadCommits {
     }
 }
 
-/// A live session and a replay of the recorded trace number their
-/// instructions independently (the live instruction pool counts its
-/// allocations; replay uses the trace position), yet they must emit
-/// the same load-commit stream, and each event's `seq` must name the
-/// trace record it came from.
+/// A traced session and a replay of the recorded trace hold their
+/// records differently (the traced session records a chunk at a time
+/// and drops what has committed; replay reads the whole trace), yet
+/// they must emit the same load-commit stream, and each event's `seq`
+/// must name the trace record it came from.
 #[test]
 fn live_and_replay_sessions_emit_the_same_load_commits() {
     let n = 20_000;
