@@ -443,16 +443,17 @@ pub struct CkptEvent<'a> {
 /// caller-owned [`WorkerContext`] and publishing into caller-owned
 /// [`ProgressCounters`], with optional crash-durable checkpoints.
 ///
-/// This is the `nosq serve` execution path, journaled or not: each
-/// daemon worker owns one long-lived context, so arenas and recorded
-/// traces persist *across* campaigns, and the shared counters are what
-/// the daemon streams to `wait`ing clients (a resumed grid counts its
-/// restored work there too). Every `ckpt_every_insts` committed
-/// instructions, and at every job boundary, it hands `sink` a
-/// [`CkptEvent`] to persist, and it can pick a grid back up from a
-/// [`ResumeState`], re-simulating only the interrupted job's tail. An
-/// un-journaled caller passes cadence 0, no resume point and a sink
-/// that ignores its events.
+/// It is the engine under `nosq-serve`'s `JournaledCampaign::run`, the
+/// one routine that runs a campaign for the `nosq serve` workers and
+/// for `nosq run --journal` / `--resume`. Each daemon worker owns one
+/// long-lived context, so arenas and recorded traces persist *across*
+/// campaigns, and the shared counters are what the daemon streams to
+/// `wait`ing clients (a resumed grid counts its restored work there
+/// too). Every `ckpt_every_insts` committed instructions, and at every
+/// job boundary, it hands `sink` a [`CkptEvent`] to persist, and it can
+/// pick a grid back up from a [`ResumeState`], re-simulating only the
+/// interrupted job's tail. An un-journaled caller passes cadence 0, no
+/// resume point and a sink that ignores its events.
 ///
 /// Reports are bit-identical to [`run_campaign`] at any checkpoint
 /// cadence and any resume point (`tests/it_serve.rs` pins this). A

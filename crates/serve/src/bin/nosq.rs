@@ -26,21 +26,21 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Mutex;
 
 use nosq_check::sync::StdSync;
 use nosq_lab::lint::{lint_tree, Allowlist};
 use nosq_lab::reports::{table5, table5_json, Table5Row};
 use nosq_lab::{
-    artifacts, audit_json, check_json, json, run_audit, run_campaign, run_campaign_durable,
-    run_checks, synthesize_programs, timing_artifact, write_artifacts, Artifact, AuditOptions,
-    BoundPreset, Campaign, CampaignResult, CheckOptions, Preset, ProgressCounters, RunOptions,
-    WorkerContext,
+    artifacts, audit_json, check_json, json, run_audit, run_campaign, run_checks, timing_artifact,
+    write_artifacts, Artifact, AuditOptions, BoundPreset, Campaign, CampaignResult, CheckOptions,
+    Preset, ProgressCounters, RunOptions, WorkerContext,
 };
 use nosq_serve::{
-    campaign_fingerprint, fingerprint_hex, loadgen_json, resume_state, run_loadgen, signal,
-    CheckpointEntry, Journal, LoadgenOptions, ServeClient, ServeOptions, Server,
+    fingerprint_hex, loadgen_json, run_loadgen, signal, Journal, JournaledCampaign, LoadgenOptions,
+    ServeClient, ServeOptions, Server,
 };
 use nosq_trace::{Profile, Suite};
 
@@ -167,12 +167,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "list" => cmd_list(positional.first().map(String::as_str)),
-        "run" => match positional.as_slice() {
-            [] if options.resume.is_some() => cmd_resume(&options),
-            [_] if options.resume.is_some() => {
-                usage_error("`--resume` takes the journal in place of a spec file")
-            }
-            [spec] => cmd_run(spec, &options),
+        "run" => match (positional.as_slice(), &options.resume) {
+            ([], Some(journal)) => run_journaled(journal, None, &options),
+            ([_], Some(_)) => usage_error("`--resume` takes the journal in place of a spec file"),
+            ([spec], None) => cmd_run(spec, &options),
             _ => usage_error("`nosq run` takes exactly one spec file (or `--resume <journal>`)"),
         },
         cmd @ ("table5" | "smoke") if !positional.is_empty() => {
@@ -378,22 +376,24 @@ fn list_presets() {
 /// of `nosq run`, shared by `nosq smoke`.
 fn execute(campaign: &Campaign, options: &Options) -> Result<Vec<Artifact>, ExitCode> {
     let result = run_campaign(campaign, &run_options(options));
-    write_and_report(campaign, &result, options)
+    let files = artifacts(&result);
+    write_and_report(campaign, &result, &files, options)?;
+    Ok(files)
 }
 
 /// The artifact-writing + summary-printing tail of a campaign run,
-/// shared by the plain, durable, and resumed paths.
+/// shared by the plain and journaled paths.
 fn write_and_report(
     campaign: &Campaign,
     result: &CampaignResult,
+    files: &[Artifact],
     options: &Options,
-) -> Result<Vec<Artifact>, ExitCode> {
-    let files = artifacts(result);
+) -> Result<(), ExitCode> {
     // The timing artifact is written alongside but kept out of `files`:
     // it is deliberately nondeterministic (wall-clock), while `files`
     // must be byte-identical across re-runs and thread counts.
     let timing = timing_artifact(result);
-    let mut paths = write_artifacts(&options.out, &files).map_err(|e| {
+    let mut paths = write_artifacts(&options.out, files).map_err(|e| {
         fail(format!(
             "writing artifacts to {}: {e}",
             options.out.display()
@@ -440,7 +440,38 @@ fn write_and_report(
     for path in &paths {
         println!("wrote {}", path.display());
     }
-    Ok(files)
+    Ok(())
+}
+
+/// Writes `files` into `--out` and lists each path written; `what`
+/// names the files in the error.
+fn write_listed(files: &[Artifact], what: &str, options: &Options) -> Result<(), ExitCode> {
+    let paths =
+        write_artifacts(&options.out, files).map_err(|e| fail(format!("writing {what}: {e}")))?;
+    for path in &paths {
+        println!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
+/// Checks a generated JSON report, then writes it into `--out` as
+/// `file_name` and lists it: a malformed report never lands.
+fn write_report(file_name: &str, contents: String, options: &Options) -> Result<(), ExitCode> {
+    if let Err(e) = json::parse(&contents) {
+        return Err(fail(format!("generated {file_name} is malformed: {e}")));
+    }
+    let report = Artifact {
+        file_name: file_name.to_owned(),
+        contents,
+    };
+    write_listed(std::slice::from_ref(&report), file_name, options)
+}
+
+/// Creates the directory a journal at `path` goes in (creating the
+/// empty path of a bare file name is a no-op).
+fn create_parent(path: &Path) -> Result<(), ExitCode> {
+    let dir = path.parent().unwrap_or(path);
+    std::fs::create_dir_all(dir).map_err(|e| fail(format!("creating {}: {e}", dir.display())))
 }
 
 fn cmd_run(spec_path: &str, options: &Options) -> ExitCode {
@@ -461,7 +492,7 @@ fn cmd_run(spec_path: &str, options: &Options) -> ExitCode {
     if let Some(plan) = &options.sample {
         return execute_sampled(&campaign, plan, options);
     }
-    if options.journal.is_some() {
+    if let Some(journal) = &options.journal {
         // Checkpoint records embed the spec verbatim so the journal is
         // self-contained for recovery; a CLI-side rebudget would make
         // the executed campaign diverge from the recorded text.
@@ -471,7 +502,8 @@ fn cmd_run(spec_path: &str, options: &Options) -> ExitCode {
                  set max_insts in the spec instead of `--max-insts`",
             );
         }
-        return run_durable(&campaign, &text, options);
+        let wanted = JournaledCampaign::new(campaign, text);
+        return run_journaled(journal, Some(wanted), options);
     }
     match execute(&campaign, options) {
         Ok(_) => ExitCode::SUCCESS,
@@ -479,20 +511,26 @@ fn cmd_run(spec_path: &str, options: &Options) -> ExitCode {
     }
 }
 
-/// `nosq run --journal`: the one-shot runner with the daemon's crash
-/// durability — completed results and mid-job checkpoints land in the
-/// journal (fsync'd before anything is reported), and a re-run against
-/// the same journal resumes instead of restarting.
-fn run_durable(campaign: &Campaign, spec: &str, options: &Options) -> ExitCode {
-    let path = options.journal.clone().expect("caller checked --journal");
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                return fail(format!("creating {}: {e}", parent.display()));
-            }
+/// `nosq run --journal` and `nosq run --resume`: the one-shot runner
+/// with the daemon's crash durability, through the daemon's own
+/// [`JournaledCampaign::run`]. `wanted` is the spec file's campaign
+/// under `--journal`, and `None` under `--resume`, which takes every
+/// campaign the journal holds. A completed campaign's artifacts are
+/// written from the journal without simulating; a half-finished one
+/// resumes from its latest checkpoint record, and a record that cannot
+/// be resumed is reported and skipped ([`CheckpointEntry::recover`]'s
+/// rule, as in the daemon); a wanted campaign the journal lacks runs
+/// fresh. Nothing reports a result before its completion record is
+/// fsync'd.
+///
+/// [`CheckpointEntry::recover`]: nosq_serve::CheckpointEntry::recover
+fn run_journaled(path: &Path, wanted: Option<JournaledCampaign>, options: &Options) -> ExitCode {
+    if wanted.is_some() {
+        if let Err(code) = create_parent(path) {
+            return code;
         }
     }
-    let (mut journal, recovered) = match Journal::open(&path) {
+    let (journal, recovered) = match Journal::open(path) {
         Ok(opened) => opened,
         Err(e) => return fail(format!("opening journal {}: {e}", path.display())),
     };
@@ -502,177 +540,65 @@ fn run_durable(campaign: &Campaign, spec: &str, options: &Options) -> ExitCode {
             journal.truncated_bytes()
         );
     }
-    let fingerprint = campaign_fingerprint(campaign);
-    if let Some(entry) = recovered
+    let taken = |fingerprint: u64| wanted.as_ref().is_none_or(|w| w.fingerprint == fingerprint);
+    let completed: Vec<_> = recovered
         .completed
         .iter()
-        .find(|e| e.fingerprint == fingerprint)
-    {
-        println!(
-            "journal already holds completed results for `{}` ({}); \
-             writing them without re-simulating",
-            entry.name,
-            fingerprint_hex(fingerprint)
-        );
-        return match write_artifacts(&options.out, entry.artifacts.as_slice()) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(format!("writing artifacts: {e}")),
-        };
-    }
-    let resume = recovered
-        .partial
-        .iter()
-        .find(|e| e.fingerprint == fingerprint)
-        .and_then(|entry| resume_state(campaign, entry));
-    if let Some(r) = &resume {
-        println!(
-            "resuming `{}` from checkpoint: {}/{} jobs already complete{}",
-            campaign.name,
-            r.job_index,
-            campaign.jobs(),
-            if r.checkpoint.is_some() {
-                ", mid-job state restored"
-            } else {
-                ""
-            }
-        );
-    }
-    match run_durable_campaign(campaign, spec, &mut journal, resume, options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(code) => code,
-    }
-}
-
-/// Runs one campaign under checkpoint durability against an open
-/// journal: mid-job [`CheckpointEntry`] records at the configured
-/// cadence, then the completion record (fsync'd) *before* success is
-/// reported — the same ordering contract as the daemon.
-fn run_durable_campaign(
-    campaign: &Campaign,
-    spec: &str,
-    journal: &mut Journal,
-    resume: Option<nosq_lab::ResumeState>,
-    options: &Options,
-) -> Result<(), ExitCode> {
-    let fingerprint = campaign_fingerprint(campaign);
-    let programs = synthesize_programs(campaign, options.threads);
-    let mut ctx = WorkerContext::new();
-    let progress: ProgressCounters<StdSync> = ProgressCounters::new();
-    let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-        let entry = CheckpointEntry {
-            fingerprint,
-            name: campaign.name.clone(),
-            spec: spec.to_owned(),
-            job_index: ev.job_index as u64,
-            completed: ev.completed.to_vec(),
-            state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-        };
-        if let Err(e) = journal.append_checkpoint(&entry) {
-            eprintln!(
-                "nosq: warning: checkpoint append failed for {}: {e}",
-                fingerprint_hex(fingerprint)
-            );
+        .filter(|entry| taken(entry.fingerprint))
+        .collect();
+    let mut runs = Vec::new();
+    for entry in recovered.partial.iter().filter(|e| taken(e.fingerprint)) {
+        match entry.recover() {
+            Ok(resumable) => runs.push(resumable),
+            Err(e) => eprintln!("nosq: warning: {e}; record skipped"),
         }
-    };
-    let result = run_campaign_durable(
-        campaign,
-        &programs,
-        &mut ctx,
-        &progress,
-        options.ckpt_every,
-        resume,
-        &mut sink,
-    );
-    let files = artifacts(&result);
-    if let Err(e) = journal.append(fingerprint, &campaign.name, &files) {
-        return Err(fail(format!("journaling completed campaign: {e}")));
     }
-    write_and_report(campaign, &result, options)?;
-    Ok(())
-}
+    if completed.is_empty() && runs.is_empty() {
+        match wanted {
+            Some(wanted) => runs.push((wanted, None)),
+            None => return fail(format!("{}: nothing to recover", path.display())),
+        }
+    }
 
-/// `nosq run --resume <journal>`: recovery without a spec file. Every
-/// completed campaign's artifacts are re-written from the journal;
-/// every half-finished campaign is rebuilt from its journaled spec and
-/// finished from its latest valid checkpoint.
-fn cmd_resume(options: &Options) -> ExitCode {
-    let path = options.resume.clone().expect("dispatch checked --resume");
-    let (mut journal, recovered) = match Journal::open(&path) {
-        Ok(opened) => opened,
-        Err(e) => return fail(format!("opening journal {}: {e}", path.display())),
-    };
-    if journal.truncated_bytes() > 0 {
-        eprintln!(
-            "nosq: warning: journal recovery discarded {} torn byte(s)",
-            journal.truncated_bytes()
-        );
-    }
-    if recovered.completed.is_empty() && recovered.partial.is_empty() {
-        return fail(format!("{}: nothing to recover", path.display()));
-    }
-    for entry in &recovered.completed {
+    for entry in completed {
         println!(
-            "recovered completed campaign `{}` ({})",
+            "recovered completed campaign `{}` ({}); writing it without re-simulating",
             entry.name,
             fingerprint_hex(entry.fingerprint)
         );
-        match write_artifacts(&options.out, entry.artifacts.as_slice()) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-            }
-            Err(e) => return fail(format!("writing artifacts: {e}")),
+        if let Err(code) = write_listed(&entry.artifacts, "artifacts", options) {
+            return code;
         }
     }
-    for entry in &recovered.partial {
-        let campaign = match Campaign::from_spec(&entry.spec) {
-            Ok(c) => c,
-            Err(e) => {
-                return fail(format!(
-                    "journaled spec for {} no longer parses: {e}",
-                    fingerprint_hex(entry.fingerprint)
-                ))
-            }
-        };
-        let resume = if campaign_fingerprint(&campaign) == entry.fingerprint {
-            resume_state(&campaign, entry)
-        } else {
-            eprintln!(
-                "nosq: warning: checkpoint {} does not match its own spec (recorded under \
-                 different overrides?); rerunning `{}` from scratch",
-                fingerprint_hex(entry.fingerprint),
-                campaign.name
-            );
-            None
-        };
+    let journal = Mutex::new(journal);
+    let mut ctx = WorkerContext::new();
+    for (journaled, resume) in runs {
+        let campaign = &journaled.campaign;
+        let id = fingerprint_hex(journaled.fingerprint);
+        let name = &campaign.name;
         match &resume {
             Some(r) => println!(
-                "resuming `{}` ({}): {}/{} jobs already complete{}",
-                campaign.name,
-                fingerprint_hex(entry.fingerprint),
+                "resuming `{name}` ({id}) from checkpoint: {}/{} jobs already complete{}",
                 r.job_index,
                 campaign.jobs(),
-                if r.checkpoint.is_some() {
-                    ", mid-job state restored"
-                } else {
-                    ""
-                }
+                r.checkpoint
+                    .as_ref()
+                    .map_or("", |_| ", mid-job state restored"),
             ),
-            None => println!(
-                "rerunning `{}` ({}) from scratch",
-                campaign.name,
-                fingerprint_hex(entry.fingerprint)
-            ),
+            None => println!("running `{name}` ({id}) from scratch"),
         }
-        if let Err(code) =
-            run_durable_campaign(&campaign, &entry.spec, &mut journal, resume, options)
-        {
+        let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+        let (result, files, appended) = journaled.run(
+            Some(&journal),
+            &mut ctx,
+            &progress,
+            options.ckpt_every,
+            resume,
+        );
+        if let Err(e) = appended {
+            return fail(format!("journaling completed campaign: {e}"));
+        }
+        if let Err(code) = write_and_report(campaign, &result, &files, options) {
             return code;
         }
     }
@@ -772,14 +698,9 @@ fn cmd_table5(options: &Options) -> ExitCode {
         file_name: "table5.json".to_owned(),
         contents: table5_json(&rows),
     });
-    match write_artifacts(&options.out, &files) {
-        Ok(paths) => {
-            for path in &paths {
-                println!("wrote {}", path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("writing artifacts: {e}")),
+    match write_listed(&files, "artifacts", options) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -937,21 +858,8 @@ fn cmd_audit(options: &Options) -> ExitCode {
         );
     }
 
-    let contents = audit_json(&result);
-    if let Err(e) = json::parse(&contents) {
-        return fail(format!("generated audit.json is malformed: {e}"));
-    }
-    let artifact = Artifact {
-        file_name: "audit.json".to_owned(),
-        contents,
-    };
-    match write_artifacts(&options.out, std::slice::from_ref(&artifact)) {
-        Ok(paths) => {
-            for path in &paths {
-                println!("wrote {}", path.display());
-            }
-        }
-        Err(e) => return fail(format!("writing audit.json: {e}")),
+    if let Err(code) = write_report("audit.json", audit_json(&result), options) {
+        return code;
     }
 
     let violations = result.total_violations();
@@ -1022,21 +930,8 @@ fn cmd_check(options: &Options) -> ExitCode {
         );
     }
 
-    let contents = check_json(&opts, &reports);
-    if let Err(e) = json::parse(&contents) {
-        return fail(format!("generated check.json is malformed: {e}"));
-    }
-    let artifact = Artifact {
-        file_name: "check.json".to_owned(),
-        contents,
-    };
-    match write_artifacts(&options.out, std::slice::from_ref(&artifact)) {
-        Ok(paths) => {
-            for path in &paths {
-                println!("wrote {}", path.display());
-            }
-        }
-        Err(e) => return fail(format!("writing check.json: {e}")),
+    if let Err(code) = write_report("check.json", check_json(&opts, &reports), options) {
+        return code;
     }
 
     let violations: u64 = reports.iter().map(|r| r.violations).sum();
@@ -1121,12 +1016,8 @@ fn cmd_serve(options: &Options) -> ExitCode {
         .journal
         .clone()
         .unwrap_or_else(|| options.out.join("serve.journal"));
-    if let Some(parent) = journal.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                return fail(format!("creating {}: {e}", parent.display()));
-            }
-        }
+    if let Err(code) = create_parent(&journal) {
+        return code;
     }
     let server = match Server::bind(ServeOptions {
         addr: options.addr.clone(),
@@ -1187,22 +1078,8 @@ fn cmd_loadgen(options: &Options) -> ExitCode {
         report.cached_responses,
         report.divergence
     );
-    let contents = loadgen_json(&report);
-    // Validate before writing: a malformed artifact must never land.
-    if let Err(e) = json::parse(&contents) {
-        return fail(format!("generated BENCH_serve.json is invalid: {e}"));
-    }
-    let artifact = Artifact {
-        file_name: "BENCH_serve.json".to_owned(),
-        contents,
-    };
-    match write_artifacts(&options.out, std::slice::from_ref(&artifact)) {
-        Ok(paths) => {
-            for path in &paths {
-                println!("wrote {}", path.display());
-            }
-        }
-        Err(e) => return fail(format!("writing BENCH_serve.json: {e}")),
+    if let Err(code) = write_report("BENCH_serve.json", loadgen_json(&report), options) {
+        return code;
     }
     if report.divergence > 0 {
         return fail(format!(
@@ -1249,14 +1126,9 @@ fn cmd_submit(spec_path: &str, options: &Options) -> ExitCode {
     if outcome.cached {
         println!("served from cache/journal (no re-simulation)");
     }
-    match write_artifacts(&options.out, &outcome.artifacts) {
-        Ok(paths) => {
-            for path in &paths {
-                println!("wrote {}", path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("writing artifacts: {e}")),
+    match write_listed(&outcome.artifacts, "artifacts", options) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 

@@ -17,16 +17,18 @@
 //! Between completions, a running job periodically appends
 //! **checkpoint records**: the job's position in its campaign grid,
 //! the reports of the jobs already finished, and a sealed
-//! [`SimCheckpoint`](nosq_core::SimCheckpoint) of the in-flight
-//! simulation. Recovery hands back the *latest valid* checkpoint per
-//! campaign (superseded checkpoints and checkpoints of campaigns that
-//! later completed are dropped), so a killed daemon — or a killed
-//! `nosq run --journal` — resumes a half-finished campaign from its
-//! last checkpoint and re-simulates only the tail. Checkpoint records
-//! are never compacted: the journal is append-only by design, and a
-//! campaign's obsolete checkpoints cost disk, not correctness. All
-//! file writes and fsyncs go through the [`DurableIo`] seam — this
-//! module never touches `std::fs` outside its tests.
+//! [`SimCheckpoint`] of the in-flight simulation. Recovery hands back
+//! the *latest valid* checkpoint per campaign (superseded checkpoints
+//! and checkpoints of campaigns that later completed are dropped) and
+//! the latest completion record per campaign, so a killed daemon — or
+//! a killed `nosq run --journal` — resumes a half-finished campaign
+//! from its last checkpoint and re-simulates only the tail. Records
+//! are never compacted: the journal is append-only by design, and
+//! obsolete records cost disk, not correctness. All file writes and
+//! fsyncs go through the [`DurableIo`] seam — this module never
+//! touches `std::fs` outside its tests. [`JournaledCampaign::run`]
+//! writes both kinds of record for the daemon and for `nosq run`;
+//! [`CheckpointEntry::recover`] reads checkpoints back.
 //!
 //! # On-disk format (version 2)
 //!
@@ -67,13 +69,18 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use nosq_core::SimReport;
-use nosq_lab::Artifact;
+use nosq_check::sync::StdSync;
+use nosq_core::{SimCheckpoint, SimReport};
+use nosq_lab::{
+    artifacts, run_campaign_durable, synthesize_programs, Artifact, Campaign, CampaignResult,
+    CkptEvent, ProgressCounters, ResumeState, WorkerContext,
+};
 use nosq_wire::{fnv1a, Dec, Enc, Wire, WireError};
 
 use crate::durable::{DurableFile, DurableIo, OsIo};
+use crate::fingerprint::{campaign_fingerprint, fingerprint_hex};
 
 const MAGIC: &[u8; 8] = b"NOSQJRNL";
 const VERSION: u32 = 2;
@@ -116,16 +123,15 @@ pub struct CheckpointEntry {
     pub job_index: u64,
     /// Reports of the already-finished grid jobs, in grid order.
     pub completed: Vec<SimReport>,
-    /// The sealed [`SimCheckpoint`](nosq_core::SimCheckpoint) bytes of
-    /// the in-flight job, `None` at a job boundary (the next job
-    /// simply starts from scratch).
+    /// The sealed [`SimCheckpoint`] bytes of the in-flight job, `None`
+    /// at a job boundary (the next job simply starts from scratch).
     pub state: Option<Vec<u8>>,
 }
 
 /// What recovery salvaged from a journal.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// Completed campaigns, in append order.
+    /// The latest completion record of each campaign, in append order.
     pub completed: Vec<JournalEntry>,
     /// The latest valid checkpoint of each campaign that never
     /// completed, ordered by fingerprint.
@@ -211,7 +217,7 @@ impl Journal {
     /// Appends one encoded record and fsyncs. A caller that shares the
     /// journal behind a lock encodes first and holds the lock only for
     /// this call.
-    pub(crate) fn append_encoded(&mut self, record: &EncodedRecord) -> std::io::Result<()> {
+    fn append_encoded(&mut self, record: &EncodedRecord) -> std::io::Result<()> {
         self.file.append(&record.0)?;
         self.file.sync_data()?;
         self.records += 1;
@@ -246,25 +252,20 @@ impl Journal {
     pub fn truncated_bytes(&self) -> u64 {
         self.truncated
     }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// One framed, checksummed record, ready to append.
 ///
 /// Encoding is the costly part of an append: a checkpoint carries a
-/// simulator snapshot of about half a megabyte. The daemon therefore
-/// encodes before it takes the journal lock, and the lock covers only
-/// [`Journal::append_encoded`]'s write and fsync. Only the two
-/// encoders below make one.
-pub(crate) struct EncodedRecord(Vec<u8>);
+/// simulator snapshot of about half a megabyte. [`JournaledCampaign::run`]
+/// therefore encodes before it takes the journal lock, and the lock
+/// covers only [`Journal::append_encoded`]'s write and fsync. Only the
+/// two encoders below make one.
+struct EncodedRecord(Vec<u8>);
 
 impl EncodedRecord {
     /// A completed-campaign record.
-    pub(crate) fn completed(fingerprint: u64, name: &str, artifacts: &[Artifact]) -> EncodedRecord {
+    fn completed(fingerprint: u64, name: &str, artifacts: &[Artifact]) -> EncodedRecord {
         // Fixed fields: fingerprint, count, one length prefix for the
         // name and two per artifact.
         let text: usize = artifacts
@@ -284,7 +285,7 @@ impl EncodedRecord {
 
     /// A mid-job checkpoint record. The sealed simulator state is
     /// copied verbatim.
-    pub(crate) fn checkpoint(entry: &CheckpointEntry) -> EncodedRecord {
+    fn checkpoint(entry: &CheckpointEntry) -> EncodedRecord {
         let completed = nosq_wire::to_bytes(&entry.completed);
         let state = entry.state.as_deref();
         // Fixed fields: fingerprint, job index, state flag and four
@@ -330,48 +331,142 @@ impl EncodedRecord {
     }
 }
 
-/// Turns a recovered [`CheckpointEntry`] into an executor
-/// [`ResumeState`](nosq_lab::ResumeState), decoding the sealed
-/// simulator snapshot under the in-flight job's configuration. Any
-/// inconsistency — grid mismatch, undecodable state — degrades to
-/// re-running from the nearest safe point (the job boundary, or a
-/// fresh run) with a warning: recovery may lose work, never
-/// correctness.
-pub fn resume_state(
-    campaign: &nosq_lab::Campaign,
-    entry: &CheckpointEntry,
-) -> Option<nosq_lab::ResumeState> {
-    let id = crate::fingerprint::fingerprint_hex(entry.fingerprint);
-    let job_index = entry.job_index as usize;
-    if job_index > campaign.jobs() || entry.completed.len() != job_index {
-        eprintln!("nosq: warning: checkpoint for {id} does not fit the grid; rerunning");
-        return None;
+/// A campaign run under the journal's durability contract: its
+/// checkpoints and its completion record are journaled under its
+/// fingerprint, with the spec text embedded so that recovery needs
+/// nothing but the journal.
+#[derive(Clone, Debug)]
+pub struct JournaledCampaign {
+    /// The campaign fingerprint (also the wire job id).
+    pub fingerprint: u64,
+    /// The campaign the spec resolves to.
+    pub campaign: Campaign,
+    /// The spec text, verbatim.
+    pub spec: String,
+}
+
+impl JournaledCampaign {
+    /// Wraps a campaign parsed from `spec`, keyed by its fingerprint.
+    pub fn new(campaign: Campaign, spec: String) -> JournaledCampaign {
+        JournaledCampaign {
+            fingerprint: campaign_fingerprint(&campaign),
+            campaign,
+            spec,
+        }
     }
-    let n_configs = campaign.configs.len();
-    let checkpoint = entry.state.as_deref().and_then(|bytes| {
-        if job_index >= campaign.jobs() {
-            return None;
+
+    /// The journal record of one checkpoint event of this campaign.
+    pub fn checkpoint(&self, ev: &CkptEvent<'_>) -> CheckpointEntry {
+        CheckpointEntry {
+            fingerprint: self.fingerprint,
+            name: self.campaign.name.clone(),
+            spec: self.spec.clone(),
+            job_index: ev.job_index as u64,
+            completed: ev.completed.to_vec(),
+            state: ev.state.map(SimCheckpoint::to_bytes),
         }
-        let cfg = &campaign.configs[job_index % n_configs].config;
-        match nosq_core::SimCheckpoint::from_bytes(bytes, cfg) {
-            Ok(ck) => Some(ck),
-            Err(e) => {
-                // A corrupt snapshot is never resumed (and thus never
-                // influences produced bytes); the job restarts from its
-                // boundary instead.
-                eprintln!(
-                    "nosq: warning: checkpoint state for {id} rejected ({e}); \
-                     resuming from job boundary"
-                );
-                None
+    }
+
+    /// Runs the campaign serially in `ctx` through
+    /// [`run_campaign_durable`], from `resume` when given. With a
+    /// journal it appends a checkpoint record at every cadence point (a
+    /// failed append is a warning), then appends and fsyncs the
+    /// completion record, and only then returns the result, the
+    /// artifacts and that append's outcome: a caller reports the result
+    /// only after an `Ok`. Records are encoded before the lock is
+    /// taken. Without a journal (the daemon's un-journaled test mode)
+    /// the cadence is 0 and nothing is written.
+    pub fn run(
+        &self,
+        journal: Option<&Mutex<Journal>>,
+        ctx: &mut WorkerContext,
+        progress: &ProgressCounters<StdSync>,
+        ckpt_every: u64,
+        resume: Option<ResumeState>,
+    ) -> (CampaignResult, Arc<Vec<Artifact>>, std::io::Result<()>) {
+        let append = |journal: &Mutex<Journal>, record: EncodedRecord| {
+            journal
+                .lock()
+                .expect("journal poisoned")
+                .append_encoded(&record)
+        };
+        let mut sink = |ev: CkptEvent<'_>| {
+            let Some(journal) = journal else { return };
+            if let Err(e) = append(journal, EncodedRecord::checkpoint(&self.checkpoint(&ev))) {
+                let id = fingerprint_hex(self.fingerprint);
+                eprintln!("nosq: warning: checkpoint append failed for {id}: {e}");
             }
+        };
+        let cadence = if journal.is_some() { ckpt_every } else { 0 };
+        let programs = synthesize_programs(&self.campaign, 1);
+        let result = run_campaign_durable(
+            &self.campaign,
+            &programs,
+            ctx,
+            progress,
+            cadence,
+            resume,
+            &mut sink,
+        );
+        let files = Arc::new(artifacts(&result));
+        let appended = journal.map_or(Ok(()), |journal| {
+            let name = &self.campaign.name;
+            append(
+                journal,
+                EncodedRecord::completed(self.fingerprint, name, &files),
+            )
+        });
+        (result, files, appended)
+    }
+}
+
+impl CheckpointEntry {
+    /// Rebuilds the campaign this record checkpoints and its resume
+    /// point. A spec that no longer parses, or no longer fingerprints
+    /// to the record's key, is an error naming the record's id: the
+    /// caller warns and skips the record, since running it would
+    /// journal the completion under another key and never supersede
+    /// it. A resume point off the grid degrades to no resume point,
+    /// and a state blob that does not decode to the job boundary, each
+    /// with a warning: recovery may lose work, never correctness.
+    pub fn recover(&self) -> Result<(JournaledCampaign, Option<ResumeState>), String> {
+        let id = fingerprint_hex(self.fingerprint);
+        let campaign = Campaign::from_spec(&self.spec)
+            .map_err(|e| format!("cannot resume {id}: its spec no longer parses: {e}"))?;
+        let journaled = JournaledCampaign::new(campaign, self.spec.clone());
+        if journaled.fingerprint != self.fingerprint {
+            let key = fingerprint_hex(journaled.fingerprint);
+            return Err(format!(
+                "cannot resume {id}: its spec fingerprints to {key}"
+            ));
         }
-    });
-    Some(nosq_lab::ResumeState {
-        job_index,
-        completed: entry.completed.clone(),
-        checkpoint,
-    })
+        let (jobs, job_index) = (journaled.campaign.jobs(), self.job_index as usize);
+        if job_index > jobs || self.completed.len() != job_index {
+            eprintln!("nosq: warning: checkpoint for {id} does not fit the grid; rerunning");
+            return Ok((journaled, None));
+        }
+        let configs = &journaled.campaign.configs;
+        let state = self.state.as_deref().filter(|_| job_index < jobs);
+        let checkpoint = state.and_then(|bytes| {
+            let cfg = &configs[job_index % configs.len()].config;
+            // A corrupt snapshot is never resumed (and thus never
+            // influences produced bytes); the job restarts instead.
+            SimCheckpoint::from_bytes(bytes, cfg)
+                .inspect_err(|e| {
+                    eprintln!(
+                        "nosq: warning: checkpoint state for {id} rejected ({e}); \
+                         resuming from job boundary"
+                    )
+                })
+                .ok()
+        });
+        let resume = ResumeState {
+            job_index,
+            completed: self.completed.clone(),
+            checkpoint,
+        };
+        Ok((journaled, Some(resume)))
+    }
 }
 
 enum Record {
@@ -409,7 +504,8 @@ fn check_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
 /// what they recover, how many they were, and where the valid prefix
 /// ends.
 fn recover(bytes: &[u8]) -> (Recovered, u64, usize) {
-    let mut recovered = Recovered::default();
+    let mut completed: Vec<Option<JournalEntry>> = Vec::new();
+    let mut latest: BTreeMap<u64, usize> = BTreeMap::new();
     let mut partials: BTreeMap<u64, CheckpointEntry> = BTreeMap::new();
     let mut records = 0u64;
     let mut pos = FILE_HEADER;
@@ -417,9 +513,15 @@ fn recover(bytes: &[u8]) -> (Recovered, u64, usize) {
         match record {
             Record::Completed(entry) => {
                 // A completed campaign supersedes every checkpoint it
-                // ever wrote.
+                // ever wrote, and an earlier completion record of the
+                // same campaign (the daemon re-simulates a campaign
+                // whose cached result was evicted, and journals it
+                // again).
                 partials.remove(&entry.fingerprint);
-                recovered.completed.push(entry);
+                if let Some(older) = latest.insert(entry.fingerprint, completed.len()) {
+                    completed[older] = None;
+                }
+                completed.push(Some(entry));
             }
             Record::Checkpoint(entry) => {
                 partials.insert(entry.fingerprint, entry);
@@ -428,7 +530,10 @@ fn recover(bytes: &[u8]) -> (Recovered, u64, usize) {
         records += 1;
         pos = next;
     }
-    recovered.partial = partials.into_values().collect();
+    let recovered = Recovered {
+        completed: completed.into_iter().flatten().collect(),
+        partial: partials.into_values().collect(),
+    };
     (recovered, records, pos)
 }
 
@@ -883,39 +988,120 @@ mod tests {
         }
     }
 
-    /// A checkpoint as the daemon journals it: taken from a real run
-    /// partway through a job.
+    /// A checkpoint as the daemon journals it, taken partway through
+    /// job 1 of a two-config grid: its job index is not 0, and its
+    /// state decodes under the second configuration only.
     fn real_checkpoint() -> CheckpointEntry {
-        use nosq_check::sync::StdSync;
-        use nosq_lab::{
-            run_campaign_durable, synthesize_programs, Campaign, ProgressCounters, WorkerContext,
-        };
-        let spec = "name = real\nconfigs = nosq\nprofiles = gzip\nmax_insts = 4000\n";
-        let campaign = Campaign::from_spec(spec).unwrap();
-        let programs = synthesize_programs(&campaign, 1);
+        let spec = "name = real\nconfigs = nosq, baseline-storesets\nprofiles = gzip\n\
+                    max_insts = 4000\n";
+        let journaled = JournaledCampaign::new(Campaign::from_spec(spec).unwrap(), spec.to_owned());
+        let programs = synthesize_programs(&journaled.campaign, 1);
         let progress: ProgressCounters<StdSync> = ProgressCounters::new();
         let mut captured = None;
-        run_campaign_durable(
-            &campaign,
-            &programs,
-            &mut WorkerContext::new(),
-            &progress,
-            2000,
-            None,
-            &mut |ev| {
-                if captured.is_none() && ev.state.is_some() {
-                    captured = Some(CheckpointEntry {
-                        fingerprint: crate::fingerprint::campaign_fingerprint(&campaign),
-                        name: campaign.name.clone(),
-                        spec: spec.to_owned(),
-                        job_index: ev.job_index as u64,
-                        completed: ev.completed.to_vec(),
-                        state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-                    });
-                }
-            },
-        );
+        let mut sink = |ev: CkptEvent<'_>| {
+            if captured.is_none() && ev.job_index == 1 && ev.state.is_some() {
+                captured = Some(journaled.checkpoint(&ev));
+            }
+        };
+        let (campaign, ctx) = (&journaled.campaign, &mut WorkerContext::new());
+        run_campaign_durable(campaign, &programs, ctx, &progress, 2000, None, &mut sink);
         captured.expect("a 4000-instruction job checkpoints at cadence 2000")
+    }
+
+    #[test]
+    fn recover_restores_an_intact_mid_job_checkpoint() {
+        let entry = real_checkpoint();
+        let (journaled, resume) = entry.recover().expect("an intact record recovers");
+        let resume = resume.expect("a resume point");
+        assert_eq!(
+            (journaled.fingerprint, resume.job_index),
+            (entry.fingerprint, 1)
+        );
+        assert_eq!(resume.completed, entry.completed);
+        assert!(resume.checkpoint.is_some(), "mid-job state restored");
+    }
+
+    #[test]
+    fn recover_refuses_a_spec_that_does_not_parse() {
+        let spec = "name = real\nconfigs = no-such-preset\n".to_owned();
+        let entry = CheckpointEntry {
+            spec,
+            ..real_checkpoint()
+        };
+        let err = entry.recover().err().expect("the record is refused");
+        let id = fingerprint_hex(entry.fingerprint);
+        assert!(
+            err.contains(&id) && err.contains("no longer parses"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn recover_refuses_a_record_keyed_off_its_spec() {
+        let mut entry = real_checkpoint();
+        entry.fingerprint ^= 1;
+        let err = entry.recover().err().expect("the record is refused");
+        let (id, key) = (entry.fingerprint, entry.fingerprint ^ 1);
+        let named = |fp| err.contains(&fingerprint_hex(fp));
+        assert!(
+            named(id) && named(key),
+            "names the record and its spec: {err}"
+        );
+    }
+
+    #[test]
+    fn recover_reruns_a_resume_point_off_the_grid() {
+        let entry = real_checkpoint();
+        let (job_index, completed) = (3, vec![report(1); 3]);
+        let past_the_grid = CheckpointEntry {
+            job_index,
+            completed,
+            ..entry.clone()
+        };
+        let short_of_reports = CheckpointEntry {
+            completed: Vec::new(),
+            ..entry
+        };
+        for misfit in [past_the_grid, short_of_reports] {
+            let (journaled, resume) = misfit.recover().expect("the campaign is rebuilt");
+            assert_eq!(journaled.fingerprint, misfit.fingerprint);
+            assert!(resume.is_none(), "job {}", misfit.job_index);
+        }
+    }
+
+    #[test]
+    fn recover_resumes_a_corrupt_state_at_its_job_boundary() {
+        let mut entry = real_checkpoint();
+        let state = entry.state.as_mut().expect("mid-job state");
+        let mid = state.len() / 2;
+        state[mid] ^= 1;
+        let (_, resume) = entry.recover().expect("the campaign is rebuilt");
+        let resume = resume.expect("a resume point");
+        assert_eq!((resume.job_index, &resume.completed), (1, &entry.completed));
+        assert!(
+            resume.checkpoint.is_none(),
+            "corrupt state is never resumed"
+        );
+    }
+
+    /// A campaign journaled twice (the daemon re-simulates a campaign
+    /// whose cached result was evicted) recovers once, with the later
+    /// artifacts, at the later record's place in append order.
+    #[test]
+    fn recovery_keeps_the_latest_completion_of_each_campaign() {
+        let path = scratch("twice.journal");
+        {
+            let (mut j, _) = Journal::open(&path).unwrap();
+            j.append(7, "twice", &artifacts("first")).unwrap();
+            j.append(9, "once", &artifacts("once")).unwrap();
+            j.append(7, "twice", &artifacts("second")).unwrap();
+        }
+        let (j, recovered) = Journal::open(&path).unwrap();
+        assert_eq!(j.records(), 3, "recovery keeps every record on disk");
+        let got: Vec<u64> = recovered.completed.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(got, [9, 7]);
+        assert_eq!(*recovered.completed[1].artifacts, artifacts("second"));
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Cutting a real-size checkpoint record at any byte loses that

@@ -22,9 +22,10 @@
 //!   artifacts;
 //! * [`journal`] — the length-prefixed, checksummed, fsync'd
 //!   append-only binary record of completed campaigns and of mid-job
-//!   checkpoints (a killed daemon serves everything it finished
-//!   without re-simulating, and resumes a half-finished campaign from
-//!   its last checkpoint);
+//!   checkpoints, and [`JournaledCampaign`], which runs a campaign
+//!   under it (a killed daemon serves everything it finished without
+//!   re-simulating, and resumes a half-finished campaign from its last
+//!   checkpoint);
 //! * [`fingerprint`] — FNV-1a campaign identity: the cache key, the
 //!   journal key, and the wire job id are all the same 64-bit hash;
 //! * [`signal`] — SIGTERM/SIGINT → drain-flag plumbing (the one
@@ -38,14 +39,13 @@
 //!
 //! ## Determinism contract
 //!
-//! The daemon never invents result bytes: artifacts come from the same
-//! [`run_campaign_durable`](nosq_lab::run_campaign_durable) →
-//! [`artifacts`](nosq_lab::artifacts) pipeline `nosq run --journal`
-//! uses, the cache and journal store exactly those bytes, and
-//! `tests/it_serve.rs` + `nosq loadgen` both assert byte-identity
-//! against one-shot local runs. Timing (latency histograms, jobs/sec)
-//! is the only nondeterministic output, quarantined in
-//! `BENCH_serve.json` like the lab's timing artifact.
+//! The daemon never invents result bytes: its workers and both durable
+//! modes of `nosq run` produce artifacts through one routine,
+//! [`JournaledCampaign::run`], the cache and journal store exactly
+//! those bytes, and `tests/it_serve.rs` + `nosq loadgen` both assert
+//! byte-identity against one-shot local runs. Timing (latency
+//! histograms, jobs/sec) is the only nondeterministic output,
+//! quarantined in `BENCH_serve.json` like the lab's timing artifact.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,6 +64,6 @@ pub use cache::ResultCache;
 pub use client::{ClientError, JobOutcome, ServeClient, SubmitReply};
 pub use durable::{DurableFile, DurableIo, Fault, FaultIo, FaultKind, OsIo};
 pub use fingerprint::{campaign_fingerprint, fingerprint_hex, parse_fingerprint};
-pub use journal::{resume_state, CheckpointEntry, Journal, JournalEntry, Recovered};
+pub use journal::{CheckpointEntry, Journal, JournalEntry, JournaledCampaign, Recovered};
 pub use loadgen::{loadgen_json, run_loadgen, LoadgenOptions, LoadgenReport};
 pub use server::{ServeOptions, ServeStats, Server};

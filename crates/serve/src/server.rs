@@ -12,8 +12,9 @@
 //!              InjectionQueue<QueuedJob>      ← the model-checked MPMC
 //!                        │                      queue from nosq-lab
 //!            ┌ worker threads, one WorkerContext each ┐
-//!            │ run_campaign_durable → artifacts       │
-//!            │ journal.append (fsync) → cache.insert  │
+//!            │ JournaledCampaign::run: checkpoints,   │
+//!            │ completion append (fsync) → artifacts  │
+//!            │ → cache.insert                         │
 //!            └───────────┬──────────────────────────┬─┘
 //!                        ▼ registry: job → Done     ▼ condvar notify
 //!                `wait` handlers stream progress / final artifacts
@@ -28,9 +29,10 @@
 //! mutex over the job registry, one over the cache, one over the
 //! journal. Those guard *per-campaign* operations (a handful per
 //! second) while each job burns millions of simulated cycles between
-//! lock touches, so there is nothing for finer locking to win. Journal
-//! records are encoded before the journal lock is taken; the lock
-//! covers only the write and its fsync.
+//! lock touches, so there is nothing for finer locking to win.
+//! [`JournaledCampaign::run`] encodes each journal record before it
+//! takes the journal lock; the lock covers only the write and its
+//! fsync.
 //!
 //! The drain protocol mirrors the `mpmc-close` model's happens-before
 //! shape: `draining = true` and `queue.close()` happen under the
@@ -41,14 +43,17 @@
 //!
 //! # Determinism
 //!
-//! Artifacts served over the wire are produced by the same
-//! [`run_campaign_durable`] → [`artifacts`] pipeline `nosq run
-//! --journal` uses, and both are byte-identical to a one-shot
-//! [`run_campaign`](nosq_lab::run_campaign) at any
-//! thread count (the executor's core guarantee; `tests/it_serve.rs`
-//! pins daemon-vs-CLI identity end to end). The cache and journal
-//! store those same bytes, so a cache hit, a journal replay after a
-//! crash, and a fresh simulation are indistinguishable to clients.
+//! Artifacts served over the wire are produced by
+//! [`JournaledCampaign::run`], the routine both durable modes of
+//! `nosq run` (`--journal` and `--resume`) use, and they are
+//! byte-identical to a one-shot [`run_campaign`](nosq_lab::run_campaign)
+//! at any thread count (the executor's core guarantee;
+//! `tests/it_serve.rs` pins daemon-vs-CLI identity end to end). The
+//! cache and journal store those same bytes, so a cache hit, a journal
+//! replay after a crash, and a fresh simulation are indistinguishable
+//! to clients. Half-finished campaigns are rebuilt at startup by
+//! [`CheckpointEntry::recover`](crate::journal::CheckpointEntry::recover),
+//! under the same rule as `nosq run --resume`.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -58,14 +63,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use nosq_check::sync::StdSync;
-use nosq_lab::{
-    artifacts, run_campaign_durable, synthesize_programs, Campaign, InjectionQueue,
-    ProgressCounters, PushError, WorkerContext,
-};
+use nosq_lab::{Campaign, InjectionQueue, ProgressCounters, ResumeState, WorkerContext};
 
 use crate::cache::ResultCache;
-use crate::fingerprint::{campaign_fingerprint, fingerprint_hex, parse_fingerprint};
-use crate::journal::{CheckpointEntry, EncodedRecord, Journal};
+use crate::fingerprint::{fingerprint_hex, parse_fingerprint};
+use crate::journal::{Journal, JournaledCampaign, Recovered};
 use crate::protocol::{
     busy_line, done_line, error_line, evicted_line, parse_request, progress_line, submit_line,
     unknown_job_line, Request,
@@ -84,8 +86,6 @@ pub struct ServeOptions {
     pub journal: Option<PathBuf>,
     /// LRU cache capacity in campaigns.
     pub cache_capacity: usize,
-    /// Injection-queue capacity (rounded up to a power of two).
-    pub queue_capacity: usize,
     /// Poll termination signals (the `nosq serve` binary installs
     /// handlers; in-process test servers leave this off).
     pub watch_signals: bool,
@@ -97,9 +97,6 @@ pub struct ServeOptions {
     /// disables the limit. Idle connections that have sent nothing are
     /// never timed out.
     pub request_timeout_ms: u64,
-    /// Socket write timeout for responses (a stalled reader cannot pin
-    /// a handler thread forever); `0` disables the limit.
-    pub write_timeout_ms: u64,
 }
 
 impl Default for ServeOptions {
@@ -109,11 +106,9 @@ impl Default for ServeOptions {
             workers: 0,
             journal: None,
             cache_capacity: 64,
-            queue_capacity: 256,
             watch_signals: false,
             ckpt_every_insts: 50_000,
             request_timeout_ms: 10_000,
-            write_timeout_ms: 10_000,
         }
     }
 }
@@ -157,15 +152,26 @@ struct JobState {
     progress: Arc<ProgressCounters<StdSync>>,
 }
 
+impl JobState {
+    /// A newly registered job: `Queued` to run, or `Done` from the
+    /// cache.
+    fn new(campaign: &Campaign, status: JobStatus) -> JobState {
+        JobState {
+            name: campaign.name.clone(),
+            total_jobs: campaign.jobs(),
+            cached: status == JobStatus::Done,
+            status,
+            progress: Arc::new(ProgressCounters::new()),
+        }
+    }
+}
+
 struct QueuedJob {
-    fingerprint: u64,
-    campaign: Campaign,
-    /// The spec text, verbatim — embedded in checkpoint records so a
-    /// journal is self-contained for recovery.
-    spec: String,
+    campaign: JournaledCampaign,
     /// Where to pick the campaign back up (journal recovery); `None`
-    /// for fresh submissions.
-    resume: Option<CheckpointEntry>,
+    /// for fresh submissions. Boxed: a decoded simulator snapshot
+    /// would otherwise grow every queue cell.
+    resume: Option<Box<ResumeState>>,
 }
 
 #[derive(Default)]
@@ -183,11 +189,11 @@ struct Shared {
     cv: Condvar,
     queue: InjectionQueue<QueuedJob, StdSync>,
     cache: Mutex<ResultCache>,
-    journal: Mutex<Option<Journal>>,
+    /// `None` runs without crash safety (tests only).
+    journal: Option<Mutex<Journal>>,
     watch_signals: bool,
     ckpt_every_insts: u64,
     request_timeout_ms: u64,
-    write_timeout_ms: u64,
 }
 
 impl Shared {
@@ -211,6 +217,19 @@ impl Shared {
         drop(reg);
         self.cv.notify_all();
     }
+
+    /// Registers `job` as queued and pushes it, under the registry lock
+    /// `reg`. A failed push unregisters it again, and its error says
+    /// whether the queue was closed rather than full.
+    fn enqueue(&self, reg: &mut Registry, job: QueuedJob) -> Result<(), bool> {
+        let fingerprint = job.campaign.fingerprint;
+        let state = JobState::new(&job.campaign.campaign, JobStatus::Queued);
+        reg.jobs.insert(fingerprint, state);
+        self.queue.try_push(job).map_err(|err| {
+            reg.jobs.remove(&fingerprint);
+            err.is_closed()
+        })
+    }
 }
 
 /// A bound, not-yet-running daemon.
@@ -232,81 +251,50 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let mut cache = ResultCache::new(opts.cache_capacity);
-        let mut recovered = 0u64;
-        let mut partial = Vec::new();
-        let journal = match &opts.journal {
+        let (journal, salvaged) = match &opts.journal {
             Some(path) => {
                 let (journal, salvaged) = Journal::open(path)?;
-                for entry in salvaged.completed {
-                    cache.insert(entry.fingerprint, entry.artifacts);
-                    recovered += 1;
-                }
-                partial = salvaged.partial;
-                Some(journal)
+                (Some(Mutex::new(journal)), salvaged)
             }
-            None => None,
+            None => (None, Recovered::default()),
         };
+        let recovered = salvaged.completed.len() as u64;
+        let mut cache = ResultCache::new(opts.cache_capacity);
+        for entry in salvaged.completed {
+            cache.insert(entry.fingerprint, entry.artifacts);
+        }
 
         let shared = Shared {
             registry: Mutex::new(Registry::default()),
             cv: Condvar::new(),
-            queue: InjectionQueue::new(opts.queue_capacity),
+            queue: InjectionQueue::new(QUEUE_CAPACITY),
             cache: Mutex::new(cache),
-            journal: Mutex::new(journal),
+            journal,
             watch_signals: opts.watch_signals,
             ckpt_every_insts: opts.ckpt_every_insts,
             request_timeout_ms: opts.request_timeout_ms,
-            write_timeout_ms: opts.write_timeout_ms,
         };
 
         // Re-enqueue half-finished campaigns. Checkpoint records embed
         // the spec verbatim, so recovery needs nothing beyond the
-        // journal itself; a record that no longer parses (or whose
-        // fingerprint disagrees with its spec) is reported and skipped,
-        // never served.
+        // journal itself; a record that cannot be resumed is reported
+        // and skipped, never served.
         let mut resumed = 0u64;
-        for entry in partial {
-            let id = fingerprint_hex(entry.fingerprint);
-            let campaign = match Campaign::from_spec(&entry.spec) {
-                Ok(c) => c,
+        for entry in salvaged.partial {
+            let (campaign, resume) = match entry.recover() {
+                Ok(resumable) => resumable,
                 Err(e) => {
-                    eprintln!("nosq serve: warning: cannot resume {id}: bad spec: {e}");
+                    eprintln!("nosq serve: warning: {e}; record skipped");
                     continue;
                 }
             };
-            if campaign_fingerprint(&campaign) != entry.fingerprint {
-                eprintln!("nosq serve: warning: cannot resume {id}: spec/fingerprint mismatch");
-                continue;
-            }
+            let id = fingerprint_hex(campaign.fingerprint);
             let mut reg = shared.registry.lock().expect("registry poisoned");
-            reg.jobs.insert(
-                entry.fingerprint,
-                JobState {
-                    name: campaign.name.clone(),
-                    total_jobs: campaign.jobs(),
-                    status: JobStatus::Queued,
-                    cached: false,
-                    progress: Arc::new(ProgressCounters::new()),
-                },
-            );
-            let fingerprint = entry.fingerprint;
-            let spec = entry.spec.clone();
-            if shared
-                .queue
-                .try_push(QueuedJob {
-                    fingerprint,
-                    campaign,
-                    spec,
-                    resume: Some(entry),
-                })
-                .is_err()
-            {
-                reg.jobs.remove(&fingerprint);
-                eprintln!("nosq serve: warning: cannot resume {id}: queue full");
-                continue;
+            let resume = resume.map(Box::new);
+            match shared.enqueue(&mut reg, QueuedJob { campaign, resume }) {
+                Ok(()) => resumed += 1,
+                Err(_) => eprintln!("nosq serve: warning: cannot resume {id}: queue full"),
             }
-            resumed += 1;
         }
 
         Ok(Server {
@@ -327,12 +315,6 @@ impl Server {
     /// Completed results recovered from the journal at bind time.
     pub fn recovered(&self) -> u64 {
         self.recovered
-    }
-
-    /// Half-finished campaigns re-enqueued from checkpoints at bind
-    /// time.
-    pub fn resumed(&self) -> u64 {
-        self.resumed
     }
 
     /// Runs the daemon to completion: accept loop plus worker pool,
@@ -403,92 +385,45 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn run_one(shared: &Shared, job: QueuedJob, ctx: &mut WorkerContext) {
+    let fingerprint = job.campaign.fingerprint;
     let progress = {
         let mut reg = shared.registry.lock().expect("registry poisoned");
         let state = reg
             .jobs
-            .get_mut(&job.fingerprint)
+            .get_mut(&fingerprint)
             .expect("queued job is registered");
         state.status = JobStatus::Running;
         Arc::clone(&state.progress)
     };
     shared.cv.notify_all();
 
-    let programs = synthesize_programs(&job.campaign, 1);
-    let journaled = shared.journal.lock().expect("journal poisoned").is_some();
-    // With a journal: periodic mid-job checkpoints into it, and a
-    // resume point when recovery handed us one.
-    let ckpt_every = if journaled {
-        shared.ckpt_every_insts
-    } else {
-        0
-    };
-    let resume = job
-        .resume
-        .as_ref()
-        .and_then(|entry| crate::journal::resume_state(&job.campaign, entry));
-    let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-        if !journaled {
-            return;
-        }
-        let entry = CheckpointEntry {
-            fingerprint: job.fingerprint,
-            name: job.campaign.name.clone(),
-            spec: job.spec.clone(),
-            job_index: ev.job_index as u64,
-            completed: ev.completed.to_vec(),
-            state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-        };
-        // Encode before locking: the lock covers the write and fsync
-        // only, so the other workers' appends never wait on this one's
-        // encoding.
-        let record = EncodedRecord::checkpoint(&entry);
-        if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
-            if let Err(e) = journal.append_encoded(&record) {
-                eprintln!(
-                    "nosq serve: warning: checkpoint append failed for {}: {e}",
-                    fingerprint_hex(job.fingerprint)
-                );
-            }
-        }
-    };
-    let result = run_campaign_durable(
-        &job.campaign,
-        &programs,
-        ctx,
-        &progress,
-        ckpt_every,
-        resume,
-        &mut sink,
-    );
-    let files = Arc::new(artifacts(&result));
-
     // Journal first (fsync), then cache, then report done — a crash
     // after the append can only lose the *report*, never the result.
-    if journaled {
-        let record = EncodedRecord::completed(job.fingerprint, &job.campaign.name, &files);
-        if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
-            if let Err(e) = journal.append_encoded(&record) {
-                // Keep serving from memory; the operator sees the
-                // warning.
-                eprintln!(
-                    "nosq serve: warning: journal append failed for {}: {e}",
-                    fingerprint_hex(job.fingerprint)
-                );
-            }
-        }
+    let (_, files, appended) = job.campaign.run(
+        shared.journal.as_ref(),
+        ctx,
+        &progress,
+        shared.ckpt_every_insts,
+        job.resume.map(|resume| *resume),
+    );
+    if let Err(e) = appended {
+        // Keep serving from memory; the operator sees the warning.
+        eprintln!(
+            "nosq serve: warning: journal append failed for {}: {e}",
+            fingerprint_hex(fingerprint)
+        );
     }
     shared
         .cache
         .lock()
         .expect("cache poisoned")
-        .insert(job.fingerprint, Arc::clone(&files));
+        .insert(fingerprint, files);
 
     let mut reg = shared.registry.lock().expect("registry poisoned");
     reg.jobs_run += 1;
     let state = reg
         .jobs
-        .get_mut(&job.fingerprint)
+        .get_mut(&fingerprint)
         .expect("running job is registered");
     state.status = JobStatus::Done;
     drop(reg);
@@ -557,6 +492,10 @@ fn read_line_patient(
 /// accumulates stall time in.
 const READ_POLL_MS: u64 = 100;
 
+/// Socket write timeout for responses: a stalled reader cannot pin a
+/// handler thread forever.
+const WRITE_TIMEOUT_MS: u64 = 10_000;
+
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     // Errors on one connection only ever end that connection.
     let _ = serve_connection(shared, stream);
@@ -564,9 +503,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
 fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)))?;
-    if shared.write_timeout_ms != 0 {
-        stream.set_write_timeout(Some(Duration::from_millis(shared.write_timeout_ms)))?;
-    }
+    stream.set_write_timeout(Some(Duration::from_millis(WRITE_TIMEOUT_MS)))?;
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -618,10 +555,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
 /// what makes the drain cutoff sound (see the module docs).
 fn submit_response(shared: &Shared, spec: &str) -> String {
     let campaign = match Campaign::from_spec(spec) {
-        Ok(c) => c,
+        Ok(c) => JournaledCampaign::new(c, spec.to_owned()),
         Err(e) => return error_line(&format!("bad spec: {e}")),
     };
-    let fingerprint = campaign_fingerprint(&campaign);
+    let fingerprint = campaign.fingerprint;
     let id = fingerprint_hex(fingerprint);
 
     let mut reg = shared.registry.lock().expect("registry poisoned");
@@ -634,15 +571,13 @@ fn submit_response(shared: &Shared, spec: &str) -> String {
     // duplicate just shares the pending job. A completed job whose
     // artifacts were since evicted falls through to a fresh enqueue
     // (the resubmit *is* the documented recovery path for eviction).
+    let cached = || {
+        let mut cache = shared.cache.lock().expect("cache poisoned");
+        cache.lookup(fingerprint).is_some()
+    };
     match reg.jobs.get(&fingerprint).map(|j| j.status.clone()) {
         Some(JobStatus::Done) => {
-            if shared
-                .cache
-                .lock()
-                .expect("cache poisoned")
-                .lookup(fingerprint)
-                .is_some()
-            {
+            if cached() {
                 reg.cache_hits += 1;
                 reg.jobs.get_mut(&fingerprint).expect("job present").cached = true;
                 return submit_line(&id, "cached");
@@ -653,52 +588,24 @@ fn submit_response(shared: &Shared, spec: &str) -> String {
         Some(JobStatus::Queued) => return submit_line(&id, "queued"),
         None => {}
     }
-    let total_jobs = campaign.jobs();
-    let name = campaign.name.clone();
-    if shared
-        .cache
-        .lock()
-        .expect("cache poisoned")
-        .lookup(fingerprint)
-        .is_some()
-    {
+    if cached() {
         reg.cache_hits += 1;
-        reg.jobs.insert(
-            fingerprint,
-            JobState {
-                name,
-                total_jobs,
-                status: JobStatus::Done,
-                cached: true,
-                progress: Arc::new(ProgressCounters::new()),
-            },
-        );
+        let state = JobState::new(&campaign.campaign, JobStatus::Done);
+        reg.jobs.insert(fingerprint, state);
         drop(reg);
         shared.cv.notify_all();
         return submit_line(&id, "cached");
     }
     reg.cache_misses += 1;
-    reg.jobs.insert(
-        fingerprint,
-        JobState {
-            name,
-            total_jobs,
-            status: JobStatus::Queued,
-            cached: false,
-            progress: Arc::new(ProgressCounters::new()),
-        },
-    );
-    match shared.queue.try_push(QueuedJob {
-        fingerprint,
+    let job = QueuedJob {
         campaign,
-        spec: spec.to_owned(),
         resume: None,
-    }) {
+    };
+    match shared.enqueue(&mut reg, job) {
         Ok(()) => submit_line(&id, "queued"),
-        Err(err) => {
-            reg.jobs.remove(&fingerprint);
+        Err(closed) => {
             reg.cache_misses -= 1;
-            if matches!(err, PushError::Full(_)) {
+            if !closed {
                 // Structured backpressure: the client backs off and
                 // retries instead of string-matching an error.
                 busy_line(BUSY_RETRY_MS)
@@ -715,6 +622,10 @@ fn submit_response(shared: &Shared, spec: &str) -> String {
 /// Retry hint sent with [`busy_line`] responses: roughly how long one
 /// queued campaign takes to start draining under load.
 const BUSY_RETRY_MS: u64 = 100;
+
+/// Injection-queue capacity in campaigns (a power of two); a submission
+/// beyond it is answered with [`busy_line`].
+const QUEUE_CAPACITY: usize = 256;
 
 /// Streams `progress` events until the job completes, then the `done`
 /// event with artifacts (looked up in the cache — the registry holds
@@ -789,12 +700,10 @@ fn status_response(shared: &Shared) -> String {
     let reg = shared.registry.lock().expect("registry poisoned");
     let count = |s: JobStatus| reg.jobs.values().filter(|j| j.status == s).count() as u64;
     let (hits, misses, evictions) = shared.cache.lock().expect("cache poisoned").stats();
-    let (journal_records, journal_truncated) = shared
-        .journal
-        .lock()
-        .expect("journal poisoned")
-        .as_ref()
-        .map_or((0, 0), |j| (j.records(), j.truncated_bytes()));
+    let (journal_records, journal_truncated) = shared.journal.as_ref().map_or((0, 0), |j| {
+        let j = j.lock().expect("journal poisoned");
+        (j.records(), j.truncated_bytes())
+    });
     let mut obj = JsonObject::new();
     obj.field_bool("ok", true)
         .field_bool("draining", reg.draining)

@@ -8,14 +8,16 @@
 //!
 //! The durable one-shot path is pinned here too: a `nosq run --resume`
 //! from a mid-job checkpoint, and a `nosq run --journal` rerun served
-//! from the journal, write the same artifacts as a plain `nosq run`.
+//! from the journal, write the same artifacts as a plain `nosq run`;
+//! and a checkpoint record that cannot be resumed is skipped, never
+//! re-simulated.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
 use nosq_check::sync::StdSync;
 use nosq_lab::{run_campaign_durable, synthesize_programs, Campaign, ProgressCounters};
-use nosq_serve::{campaign_fingerprint, CheckpointEntry, Journal};
+use nosq_serve::{fingerprint_hex, CheckpointEntry, Journal, JournaledCampaign};
 
 fn nosq(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_nosq"))
@@ -179,25 +181,17 @@ fn sampled_runs_succeed_on_a_real_spec() {
 /// a process killed at that point would have left behind.
 fn mid_job_checkpoint(spec: &str, job: usize) -> CheckpointEntry {
     let campaign = Campaign::from_spec(spec).expect("valid spec");
-    let programs = synthesize_programs(&campaign, 1);
+    let journaled = JournaledCampaign::new(campaign, spec.to_owned());
+    let programs = synthesize_programs(&journaled.campaign, 1);
     let progress: ProgressCounters<StdSync> = ProgressCounters::new();
     let mut captured = None;
     let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
         if captured.is_none() && ev.job_index == job && ev.state.is_some() {
-            captured = Some(CheckpointEntry {
-                fingerprint: campaign_fingerprint(&campaign),
-                name: campaign.name.clone(),
-                spec: spec.to_owned(),
-                job_index: job as u64,
-                completed: ev.completed.to_vec(),
-                state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-            });
+            captured = Some(journaled.checkpoint(&ev));
         }
     };
-    let mut ctx = nosq_lab::WorkerContext::new();
-    run_campaign_durable(
-        &campaign, &programs, &mut ctx, &progress, 1_000, None, &mut sink,
-    );
+    let (campaign, ctx) = (&journaled.campaign, &mut nosq_lab::WorkerContext::new());
+    run_campaign_durable(campaign, &programs, ctx, &progress, 1_000, None, &mut sink);
     captured.expect("a 3,000-instruction job checkpoints at cadence 1,000")
 }
 
@@ -242,6 +236,41 @@ fn journaled_runs_resume_byte_identically() {
         let reference = read("plain");
         assert_eq!(read("resumed"), reference, "{file} after --resume");
         assert_eq!(read("again"), reference, "{file} from the journal");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint record whose spec no longer fingerprints to its key is
+/// reported by id and skipped: `--resume` re-simulates and appends
+/// nothing, however often it runs, and with nothing else in the
+/// journal there is nothing to recover.
+#[test]
+fn unresumable_checkpoints_are_skipped_not_rerun() {
+    let dir = std::env::temp_dir().join(format!("nosq-cli-stale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let spec = "name = cli-stale\nconfigs = nosq, baseline-storesets\n\
+                profiles = gzip\nmax_insts = 3000\n";
+    let mut stale = mid_job_checkpoint(spec, 1);
+    stale.fingerprint ^= 1;
+    let journal = dir.join("stale.journal");
+    let (mut j, _) = Journal::open(&journal).expect("open journal");
+    j.append_checkpoint(&stale).expect("append checkpoint");
+    drop(j);
+    let len = || std::fs::metadata(&journal).expect("journal exists").len();
+    let (before, path) = (len(), journal.to_str().expect("utf-8 temp path"));
+    for round in ["first", "second"] {
+        let out = dir.join(round);
+        let run = nosq(&["run", "--resume", path, "--out", out.to_str().unwrap()]);
+        let (text, err) = (stdout(&run), stderr(&run));
+        assert_eq!(code(&run), 1, "{round}: {err}");
+        assert!(!text.contains("campaign `cli-stale`:"), "{round}: {text}");
+        assert!(
+            err.contains(&fingerprint_hex(stale.fingerprint)),
+            "{round}: {err}"
+        );
+        assert!(err.contains("nothing to recover"), "{round}: {err}");
+        assert_eq!(len(), before, "{round} run: the journal must not grow");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -261,9 +261,10 @@ fn completion(result: &CampaignResult) -> (usize, u64) {
 /// first mid-job checkpoint event as the journal record a crashed
 /// process would have fsynced — the raw material for the resume tests.
 fn mid_job_entry(spec: &str) -> nosq_serve::CheckpointEntry {
-    let campaign = Campaign::from_spec(spec).unwrap();
-    let fingerprint = nosq_serve::campaign_fingerprint(&campaign);
-    let programs = synthesize_programs(&campaign, 1);
+    let journaled =
+        nosq_serve::JournaledCampaign::new(Campaign::from_spec(spec).unwrap(), spec.to_owned());
+    let campaign = &journaled.campaign;
+    let programs = synthesize_programs(campaign, 1);
     let local = local_artifacts(spec);
     let mut captured: Option<nosq_serve::CheckpointEntry> = None;
     let mut ctx = WorkerContext::new();
@@ -272,18 +273,11 @@ fn mid_job_entry(spec: &str) -> nosq_serve::CheckpointEntry {
         let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
             assert!(cadence > 0 || ev.state.is_none(), "cadence 0 snapshots");
             if captured.is_none() && ev.state.is_some() {
-                captured = Some(nosq_serve::CheckpointEntry {
-                    fingerprint,
-                    name: campaign.name.clone(),
-                    spec: spec.to_owned(),
-                    job_index: ev.job_index as u64,
-                    completed: ev.completed.to_vec(),
-                    state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-                });
+                captured = Some(journaled.checkpoint(&ev));
             }
         };
         let full = run_campaign_durable(
-            &campaign, &programs, &mut ctx, &progress, cadence, None, &mut sink,
+            campaign, &programs, &mut ctx, &progress, cadence, None, &mut sink,
         );
         assert_eq!(
             artifacts(&full),
@@ -309,7 +303,8 @@ fn checkpoint_resume_is_bit_identical_to_uninterrupted() {
         for cadence in [0, 400] {
             // Resume from the captured record alone, exactly as
             // recovery does.
-            let resume = nosq_serve::resume_state(&campaign, &entry).expect("checkpoint decodes");
+            let (_, resume) = entry.recover().expect("checkpoint recovers");
+            let resume = resume.expect("checkpoint decodes");
             assert!(resume.checkpoint.is_some(), "mid-job state must restore");
             let mut ctx = WorkerContext::new();
             let progress: ProgressCounters<StdSync> = ProgressCounters::new();
