@@ -6,11 +6,11 @@
 //! program's footprint: the ROB ring, the fetch buffer, the backend-exit
 //! queue, the squash-replay queue and scratch, the issue-candidate
 //! lists, the store-register-queue ring, and the tracer's paged
-//! last-writer map. The instruction records are not among them: a
-//! session reads a recorded trace in place, and a traced session holds
-//! only a small buffer of its own stream. Constructing a session from
-//! scratch allocates all of them; a campaign running thousands of jobs
-//! pays that cost — and the attendant page faults — per job.
+//! last-writer map. A session reads a recorded trace in place, and a
+//! traced session holds only a small buffer of its own stream.
+//! Constructing a session from scratch allocates all of them; a
+//! campaign running thousands of jobs pays that cost — and the
+//! attendant page faults — per job.
 //!
 //! [`SimArena`] breaks that cycle: it owns every one of those buffers
 //! between sessions. [`Simulator::with_arena`](crate::Simulator::with_arena)
@@ -21,6 +21,14 @@
 //! and without an arena — reuse changes where the memory comes from,
 //! never what the pipeline computes (`tests/it_determinism.rs` and the
 //! lab suite enforce this).
+//!
+//! The instruction records of recorded traces are recycled too, through
+//! the arena's [`TraceArena`]: the arena keeps the storage of the last
+//! trace recorded with
+//! [`TraceBuffer::record_with_arena`](nosq_trace::TraceBuffer::record_with_arena)`(.., &mut arena.trace)`,
+//! and the next such recording refills it once that trace has dropped.
+//! Between recordings an arena therefore holds one trace's records
+//! (48 MB for a 1M-instruction trace) besides the buffers above.
 //!
 //! ```
 //! use nosq_core::{SimArena, SimConfig, Simulator};
@@ -35,7 +43,7 @@
 //! }
 //! ```
 
-use nosq_trace::LastWriterMap;
+use nosq_trace::TraceArena;
 
 use crate::pipeline::{Entry, Fetched, ReadyCand, Waiter, WheelEntry};
 use crate::srq::StoreInfo;
@@ -44,10 +52,13 @@ use crate::srq::StoreInfo;
 /// sessions; see the [module docs](self).
 #[derive(Default)]
 pub struct SimArena {
-    /// The tracer's paged last-writer map. Public so embedders can also
-    /// drive a bare [`Tracer`](nosq_trace::Tracer) off the same arena
-    /// via [`Tracer::with_arena`](nosq_trace::Tracer::with_arena).
-    pub trace: LastWriterMap,
+    /// The tracer's paged last-writer map and the storage of the last
+    /// trace recorded through it. Public so embedders record traces
+    /// with [`TraceBuffer::record_with_arena`](nosq_trace::TraceBuffer::record_with_arena)
+    /// or drive a bare [`Tracer`](nosq_trace::Tracer) via
+    /// [`Tracer::with_arena`](nosq_trace::Tracer::with_arena) off the
+    /// same arena.
+    pub trace: TraceArena,
     pub(crate) core: CoreBuffers,
 }
 

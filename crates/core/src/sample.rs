@@ -439,8 +439,14 @@ mod tests {
             ("applu", (9_985, 11_957), (9_983, 12_398)),
             ("gsm.e", (9_985, 10_217), (9_985, 10_101)),
         ];
+        // The table runs twice: on its own trace per profile, and
+        // through one arena as a `nosq run --sample` request runs it,
+        // where each profile's trace refills the storage of the one
+        // recorded before it.
+        let mut arena = SimArena::new();
         for (name, nosq, storesets) in pinned {
             let (program, trace) = workload(name, n);
+            let reused = TraceBuffer::record_with_arena(&program, n, &mut arena.trace);
             for (preset, cfg, (insts, cycles)) in [
                 ("nosq", SimConfig::nosq(n), nosq),
                 (
@@ -455,8 +461,10 @@ mod tests {
                     measured_cycles: cycles,
                     total_insts: n,
                 };
-                let est = sampled_replay(&program, cfg, &trace, &plan);
+                let est = sampled_replay(&program, cfg.clone(), &trace, &plan);
                 assert_eq!(est, want, "{name} under {preset}");
+                let est = sampled_replay_with_arena(&program, cfg, &reused, &plan, &mut arena);
+                assert_eq!(est, want, "{name} under {preset} through one arena");
             }
         }
     }

@@ -125,7 +125,10 @@ where
 /// last recorded trace. The job grid is profile-major, so consecutive
 /// jobs usually share a profile and the worker replays one recorded
 /// trace across every configuration instead of re-running the
-/// functional front end per job.
+/// functional front end per job. On a profile change the worker drops
+/// its cached trace and records the next one into that trace's storage,
+/// which the arena keeps; so even with no trace cached, a worker that
+/// has recorded holds one trace's records.
 ///
 /// The struct is public so long-lived callers — the `nosq serve`
 /// daemon's worker pool above all — can keep one context per worker
@@ -189,7 +192,9 @@ impl JobTiming {
 /// Largest per-job budget worth buffering for replay: beyond this the
 /// recorded trace's memory cost (`size_of::<DynInst>()` bytes per
 /// instruction, per worker; 192 MB at this cap) outweighs
-/// re-running the streaming tracer per configuration.
+/// re-running the streaming tracer per configuration. The worker's
+/// arena keeps that storage for its next recording after the trace is
+/// released, until the context drops.
 const REPLAY_BUDGET_CAP: u64 = 4_000_000;
 
 /// Session chunk size in cycles for jobs that take no snapshots: the
@@ -242,7 +247,9 @@ fn run_job(
     if replay {
         let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
         if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
-            worker.trace = None; // never hold two traces at once
+            // Never hold two traces at once; dropping this one also
+            // lets the recording below refill its storage.
+            worker.trace = None;
             let started = Instant::now();
             let trace =
                 TraceBuffer::record_with_arena(program, cfg.max_insts, &mut worker.arena.trace);
@@ -250,7 +257,9 @@ fn run_job(
             worker.trace = Some((key, trace));
         }
     } else {
-        worker.trace = None; // release any stale buffer
+        // Release any stale trace; the arena keeps its storage for the
+        // worker's next recording.
+        worker.trace = None;
     }
 
     let started = Instant::now();

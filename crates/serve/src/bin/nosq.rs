@@ -521,7 +521,8 @@ fn cmd_run(spec_path: &str, options: &Options) -> ExitCode {
 /// be resumed is reported and skipped ([`CheckpointEntry::recover`]'s
 /// rule, as in the daemon); a wanted campaign the journal lacks runs
 /// fresh. Nothing reports a result before its completion record is
-/// fsync'd.
+/// fsync'd. `--journal` creates its journal; `--resume` refuses a path
+/// that does not exist and writes nothing there.
 ///
 /// [`CheckpointEntry::recover`]: nosq_serve::CheckpointEntry::recover
 fn run_journaled(path: &Path, wanted: Option<JournaledCampaign>, options: &Options) -> ExitCode {
@@ -529,6 +530,8 @@ fn run_journaled(path: &Path, wanted: Option<JournaledCampaign>, options: &Optio
         if let Err(code) = create_parent(path) {
             return code;
         }
+    } else if !path.exists() {
+        return fail(format!("{}: no such journal to recover", path.display()));
     }
     let (journal, recovered) = match Journal::open(path) {
         Ok(opened) => opened,

@@ -145,6 +145,19 @@ fn durable_flag_contracts() {
 }
 
 #[test]
+fn resuming_a_missing_journal_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("nosq-cli-absent-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let journal = dir.join("absent.journal");
+    let path = journal.to_str().unwrap();
+    let out = nosq(&["run", "--resume", path]);
+    assert_eq!(code(&out), 1);
+    assert!(stderr(&out).contains(path), "{}", stderr(&out));
+    assert!(!journal.exists(), "`--resume` created {path}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sampled_runs_succeed_on_a_real_spec() {
     let dir = std::env::temp_dir().join(format!("nosq-cli-sampled-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");

@@ -13,6 +13,10 @@
 //!
 //! * [`Tracer`] streams the correct-path dynamic instruction sequence with
 //!   ground-truth memory dependences ([`DynInst`], [`MemDep`]).
+//! * [`TraceBuffer`] records that stream once for any number of
+//!   replays; a reusable [`TraceArena`] holds the tracer's map and the
+//!   last trace's storage, so recording one trace after another
+//!   refills memory that is already mapped.
 //! * [`lastwriter`] holds the paged, epoch-stamped per-byte
 //!   [`LastWriterMap`] behind the tracer's dependence analysis; a
 //!   reusable map makes tracing allocation-free across programs
@@ -45,4 +49,4 @@ pub use lastwriter::{ByteWriter, LastWriterMap, LoadScan};
 pub use profiles::{Profile, Suite};
 pub use record::{Coverage, DynInst, MemDep};
 pub use synth::synthesize;
-pub use tracer::{TraceBuffer, Tracer};
+pub use tracer::{TraceArena, TraceBuffer, Tracer};

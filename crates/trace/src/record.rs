@@ -81,7 +81,7 @@ impl MemDep {
 /// number is the load's minus `inst_distance` and its SSN is
 /// [`dep_ssn`](DynInst::dep_ssn), exact unless the distances saturated
 /// (see [`MemDep`]).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DynInst {
     /// PC of the instruction.
     pub pc: u64,

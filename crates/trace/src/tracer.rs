@@ -1,12 +1,14 @@
 //! Streaming functional tracer with online dependence analysis.
 
+use std::sync::Arc;
+
 use nosq_isa::{ArchState, InstClass, Program};
 
 use crate::lastwriter::{ByteWriter, LastWriterMap};
 use crate::record::{Coverage, DynInst, MemDep};
 
 /// The tracer's last-writer map slot: owned by default, borrowed from a
-/// reusable arena via [`Tracer::with_arena`].
+/// reusable [`TraceArena`] via [`Tracer::with_arena`].
 enum MapSlot<'m> {
     Owned(LastWriterMap),
     Borrowed(&'m mut LastWriterMap),
@@ -40,9 +42,9 @@ impl MapSlot<'_> {
 ///
 /// A tracer allocates its map internally by default; callers that trace
 /// many programs back to back (the lab's campaign workers, the bench
-/// harnesses) pass a persistent map through [`Tracer::with_arena`] so
-/// each new trace starts with an O(1) epoch reset instead of fresh
-/// allocations.
+/// harnesses) pass a persistent [`TraceArena`] through
+/// [`Tracer::with_arena`] so each new trace starts with an O(1) epoch
+/// reset instead of fresh allocations.
 ///
 /// ```
 /// use nosq_isa::{Assembler, Reg, MemWidth, Extension};
@@ -84,17 +86,18 @@ impl<'p> Tracer<'p> {
         Tracer::build(program, max_insts, MapSlot::Owned(LastWriterMap::new()))
     }
 
-    /// Creates a tracer that borrows a reusable [`LastWriterMap`]
-    /// instead of allocating one. The map is [reset](LastWriterMap::reset)
+    /// Creates a tracer that borrows the last-writer map of a reusable
+    /// [`TraceArena`] instead of allocating one; the arena's trace
+    /// storage is left alone. The map is [reset](LastWriterMap::reset)
     /// (O(1)) before tracing starts, so any previous program's writers
     /// are invisible; its page buffers are recycled.
     pub fn with_arena(
         program: &'p Program,
         max_insts: u64,
-        map: &'p mut LastWriterMap,
+        arena: &'p mut TraceArena,
     ) -> Tracer<'p> {
-        map.reset();
-        Tracer::build(program, max_insts, MapSlot::Borrowed(map))
+        arena.map.reset();
+        Tracer::build(program, max_insts, MapSlot::Borrowed(&mut arena.map))
     }
 
     fn build(program: &'p Program, max_insts: u64, last_writer: MapSlot<'p>) -> Tracer<'p> {
@@ -120,6 +123,50 @@ impl<'p> Tracer<'p> {
     }
 }
 
+/// Reusable recording memory: the tracer's paged last-writer map, plus
+/// a handle to the records of the last trace recorded through the
+/// arena.
+///
+/// Between recordings the arena holds the map's pages and that one
+/// trace's storage. [`TraceBuffer::record_with_arena`] refills the
+/// storage once its trace, and every clone of it, has dropped, so a
+/// caller that records one trace at a time (drop the old trace, record
+/// the next) writes each trace into memory that is already mapped
+/// instead of faulting in a fresh multi-megabyte buffer. A trace that
+/// is still alive is never written: recording beside it allocates, as
+/// [`TraceBuffer::record`] always does. The arena's own drop frees the
+/// storage.
+///
+/// ```
+/// use nosq_trace::{synthesize, Profile, TraceArena, TraceBuffer};
+///
+/// let program = synthesize(Profile::by_name("gzip").unwrap(), 42);
+/// let mut arena = TraceArena::new();
+/// let first = TraceBuffer::record_with_arena(&program, 2_000, &mut arena);
+/// let at = first.insts().as_ptr();
+/// drop(first);
+/// let second = TraceBuffer::record_with_arena(&program, 2_000, &mut arena);
+/// assert_eq!(second.insts().as_ptr(), at); // the dropped trace's storage
+/// assert_eq!(second.insts(), TraceBuffer::record(&program, 2_000).insts());
+///
+/// let third = TraceBuffer::record_with_arena(&program, 2_000, &mut arena);
+/// assert_ne!(third.insts().as_ptr(), at); // `second` is alive: fresh storage
+/// ```
+#[derive(Default)]
+pub struct TraceArena {
+    map: LastWriterMap,
+    /// The records of the last trace recorded through the arena.
+    last: Option<Arc<Vec<DynInst>>>,
+}
+
+impl TraceArena {
+    /// Creates an empty arena; the map's pages and the trace storage
+    /// are allocated by the first recording and recycled afterwards.
+    pub fn new() -> TraceArena {
+        TraceArena::default()
+    }
+}
+
 /// A recorded correct-path trace, replayable by any number of timing
 /// simulations.
 ///
@@ -130,30 +177,52 @@ impl<'p> Tracer<'p> {
 /// *once* and replay the buffer for every configuration
 /// (`Simulator::replay*` in `nosq-core`). Replay is bit-identical to
 /// live tracing by construction.
+///
+/// The records are shared and immutable: `Clone` shares them instead
+/// of copying, and the [`TraceArena`] a trace was recorded through
+/// keeps a handle to them so its next recording can reuse the storage
+/// once every trace holding it has dropped.
 #[derive(Clone, Debug)]
 pub struct TraceBuffer {
-    insts: Vec<DynInst>,
+    insts: Arc<Vec<DynInst>>,
     max_insts: u64,
 }
 
 impl TraceBuffer {
     /// Records the trace of `program`, up to `max_insts` dynamic
-    /// instructions.
+    /// instructions, through a fresh [`TraceArena`].
     pub fn record(program: &Program, max_insts: u64) -> TraceBuffer {
-        let mut map = LastWriterMap::new();
-        TraceBuffer::record_with_arena(program, max_insts, &mut map)
+        TraceBuffer::record_with_arena(program, max_insts, &mut TraceArena::new())
     }
 
-    /// [`TraceBuffer::record`] reusing a persistent [`LastWriterMap`].
+    /// [`TraceBuffer::record`] through a persistent [`TraceArena`],
+    /// reusing its last-writer map and, when it can, its trace storage.
+    ///
+    /// The records go into the storage of the last trace recorded
+    /// through `arena` when the arena holds the only handle to it, that
+    /// is when that trace and every clone of it have dropped. The
+    /// storage is cleared and refilled, growing once if this budget
+    /// needs more than it holds. Otherwise (the arena's first
+    /// recording, or the previous trace is still alive) the records get
+    /// a fresh allocation and the live trace is left untouched. Either
+    /// way the arena then keeps a handle to the new trace's records.
     pub fn record_with_arena(
         program: &Program,
         max_insts: u64,
-        map: &mut LastWriterMap,
+        arena: &mut TraceArena,
     ) -> TraceBuffer {
-        // One up-front allocation (capped for huge budgets) instead of
+        let mut insts = arena
+            .last
+            .take()
+            .and_then(|last| Arc::try_unwrap(last).ok())
+            .unwrap_or_default();
+        insts.clear();
+        // One up-front reservation (capped for huge budgets) instead of
         // doubling growth through tens of megabytes.
-        let mut insts = Vec::with_capacity(max_insts.min(4_000_000) as usize);
-        insts.extend(Tracer::with_arena(program, max_insts, map));
+        insts.reserve_exact(max_insts.min(4_000_000) as usize);
+        insts.extend(Tracer::with_arena(program, max_insts, arena));
+        let insts = Arc::new(insts);
+        arena.last = Some(Arc::clone(&insts));
         TraceBuffer { insts, max_insts }
     }
 
@@ -380,15 +449,52 @@ mod tests {
                 asm.finish()
             })
             .collect();
-        let mut map = LastWriterMap::new();
+        let mut arena = TraceArena::new();
         for prog in &programs {
             let owned: Vec<_> = Tracer::new(prog, 100).collect();
-            let reused: Vec<_> = Tracer::with_arena(prog, 100, &mut map).collect();
-            assert_eq!(owned.len(), reused.len());
-            for (a, b) in owned.iter().zip(&reused) {
-                assert_eq!((a.pc, a.stores_before), (b.pc, b.stores_before));
-                assert_eq!(a.mem_dep, b.mem_dep);
-            }
+            let reused: Vec<_> = Tracer::with_arena(prog, 100, &mut arena).collect();
+            assert_eq!(owned, reused);
         }
+    }
+
+    fn gzip() -> Program {
+        crate::synthesize(crate::Profile::by_name("gzip").unwrap(), 42)
+    }
+
+    #[test]
+    fn recording_after_the_last_trace_dropped_reuses_its_storage() {
+        let program = gzip();
+        let mut arena = TraceArena::new();
+        let first = TraceBuffer::record_with_arena(&program, 20_000, &mut arena);
+        let (at, capacity) = (first.insts().as_ptr(), first.insts.capacity());
+        drop(first);
+        let second = TraceBuffer::record_with_arena(&program, 5_000, &mut arena);
+        assert_eq!(second.insts.capacity(), capacity);
+        assert_eq!(second.insts().as_ptr(), at);
+        assert_eq!(second.len(), 5_000);
+        assert_eq!(second.insts(), TraceBuffer::record(&program, 5_000).insts());
+    }
+
+    #[test]
+    fn recording_beside_a_live_trace_leaves_it_untouched() {
+        let program = gzip();
+        let other = crate::synthesize(crate::Profile::by_name("applu").unwrap(), 42);
+        let mut arena = TraceArena::new();
+        let live = TraceBuffer::record_with_arena(&program, 20_000, &mut arena);
+        let before = live.insts().to_vec();
+        let next = TraceBuffer::record_with_arena(&other, 5_000, &mut arena);
+        assert_ne!(next.insts().as_ptr(), live.insts().as_ptr());
+        assert_eq!(live.insts(), &before[..]);
+        assert_eq!(next.insts(), TraceBuffer::record(&other, 5_000).insts());
+
+        // A clone keeps the records alive just as the original does.
+        let clone = next.clone();
+        assert_eq!(clone.insts().as_ptr(), next.insts().as_ptr());
+        drop(next);
+        let last = TraceBuffer::record_with_arena(&program, 5_000, &mut arena);
+        assert_ne!(last.insts().as_ptr(), clone.insts().as_ptr());
+        assert_eq!(clone.insts(), TraceBuffer::record(&other, 5_000).insts());
+        assert_eq!(live.insts(), &before[..]);
+        assert_eq!(last.insts(), &before[..5_000]);
     }
 }

@@ -125,8 +125,11 @@ fn squash_heavy_runs_match_seed_golden_counters() {
         } else {
             SimConfig::baseline_storesets(40_000)
         };
-        // All three construction paths must reproduce the seed run.
+        // All four construction paths must reproduce the seed run. The
+        // last replays a trace recorded through the arena, which from
+        // the second row on refills the previous row's trace storage.
         let trace = TraceBuffer::record(&program, 40_000);
+        let reused = TraceBuffer::record_with_arena(&program, 40_000, &mut arena.trace);
         for (path, r) in [
             ("simulate", simulate(&program, cfg.clone())),
             (
@@ -136,6 +139,10 @@ fn squash_heavy_runs_match_seed_golden_counters() {
             (
                 "replay_with_arena",
                 Simulator::replay_with_arena(&program, cfg.clone(), &trace, &mut arena).run(),
+            ),
+            (
+                "record_with_arena",
+                Simulator::replay_with_arena(&program, cfg.clone(), &reused, &mut arena).run(),
             ),
         ] {
             let got = (
