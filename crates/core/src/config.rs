@@ -152,13 +152,6 @@ pub struct FaultPlan {
     pub break_predictor: Option<u64>,
 }
 
-impl FaultPlan {
-    /// Whether any fault is enabled.
-    pub fn is_active(&self) -> bool {
-        self.break_predictor.is_some()
-    }
-}
-
 /// Complete configuration for one simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {

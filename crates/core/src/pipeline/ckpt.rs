@@ -13,7 +13,8 @@
 //! Decoding validates everything: magic, version, exact length,
 //! whole-buffer checksum, config fingerprint, then every field's own
 //! range checks (register indices, instruction classes, saturating
-//! counters, ring lengths). Any truncation or bit-flip yields a
+//! counters, ring lengths), and last the order of the stream cursor,
+//! which a resume traces to. Any truncation or bit-flip yields a
 //! [`CkptError`], never a panic and never a silently wrong state —
 //! `tests/it_ckptio.rs` proves this exhaustively for every byte
 //! boundary and a corruption sweep.
@@ -147,9 +148,10 @@ pub enum CkptError {
     /// The container itself is damaged or mismatched (truncation,
     /// corruption, wrong version, wrong configuration).
     Envelope(EnvelopeError),
-    /// The payload passed the checksum but a field failed its own
-    /// validation — possible only across an encoding change, since the
-    /// checksum already rules out transmission damage.
+    /// The payload passed the checksum but a field, or the order of the
+    /// stream cursor, failed validation — possible only across an
+    /// encoding change or a writer bug, since the checksum already
+    /// rules out transmission damage.
     Payload(WireError),
 }
 
@@ -201,13 +203,17 @@ impl SimCheckpoint {
     /// `cfg` must be the configuration the checkpoint was taken under
     /// (enforced via [`SimCheckpoint::config_fingerprint`]). Rejects any
     /// truncated, corrupted, version-mismatched, or config-mismatched
-    /// input with a [`CkptError`]; a successful decode reconstructs the
+    /// input, and any whose stream cursor a resume could not trace to,
+    /// with a [`CkptError`]; a successful decode reconstructs the
     /// snapshot bit-identically.
     pub fn from_bytes(bytes: &[u8], cfg: &SimConfig) -> Result<SimCheckpoint, CkptError> {
         let payload = envelope::open(bytes, SimCheckpoint::config_fingerprint(cfg))?;
-        Ok(SimCheckpoint {
-            cfg: cfg.clone(),
-            m: nosq_wire::from_bytes(payload)?,
-        })
+        let m: Machine = nosq_wire::from_bytes(payload)?;
+        let cursor = [m.stats.insts, m.stream_next as u64, m.stream_limit as u64];
+        if !cursor.is_sorted() || cursor[2] > cfg.max_insts {
+            return Err(CkptError::Payload(WireError::Invalid("stream cursor")));
+        }
+        let cfg = cfg.clone();
+        Ok(SimCheckpoint { cfg, m })
     }
 }

@@ -240,12 +240,14 @@ const CHUNK: usize = 1024;
 /// session can run past 2^32 instructions as long as it holds fewer
 /// than 2^32 records.
 ///
-/// - A session over a recorded [`TraceBuffer`] (replay, resume, a
-///   sampling window) borrows the whole trace, with `base` 0.
-/// - A traced session ([`Simulator::new`]) owns a small buffer that its
-///   [`Tracer`] refills [`CHUNK`] records at a time whenever fetch
-///   reaches its end. Such a session starts at 0 and commits in order,
-///   so each refill first drops the records below the committed count.
+/// - A session over a recorded [`TraceBuffer`] (replay, a sampling
+///   window) borrows the whole trace, with `base` 0.
+/// - A traced session ([`Simulator::new`], [`Simulator::resume`]) owns
+///   a small buffer that its [`Tracer`] refills [`CHUNK`] records at a
+///   time whenever fetch reaches its end. It commits in order, so each
+///   refill first drops the records below the committed count. A
+///   resumed session starts at its checkpoint's committed count
+///   ([`seek`](InstSupply::seek)).
 struct InstSupply<'p> {
     records: Cow<'p, [DynInst]>,
     base: u64,
@@ -300,6 +302,18 @@ impl<'p> InstSupply<'p> {
         let held = records.len();
         records.extend(tracer.take(CHUNK));
         records.len() > held
+    }
+
+    /// Moves a fresh traced supply to a checkpoint's cursor: runs the
+    /// tracer past the `committed` records, then holds the records up to
+    /// `next`, those of the instructions the checkpointed session had in
+    /// flight.
+    fn seek(&mut self, committed: u64, next: usize) {
+        let tracer = self.tracer.as_deref_mut().expect("a traced supply");
+        tracer.by_ref().take(committed as usize).for_each(drop);
+        self.base = committed;
+        let in_flight = tracer.take(next - committed as usize);
+        self.records.to_mut().extend(in_flight);
     }
 
     /// The full sequence number of the held record named by `seq`'s
@@ -425,18 +439,18 @@ impl std::fmt::Debug for StopCondition<'_> {
 }
 
 /// A self-contained snapshot of the complete microarchitectural and
-/// architectural state of a session over a recorded trace, taken with
+/// architectural state of a session, taken with
 /// [`Simulator::checkpoint`] and turned back into a running session by
 /// [`Simulator::resume`] / [`Simulator::resume_with_arena`].
 ///
 /// Restoration is bit-identical: resuming a checkpoint and running to
 /// completion produces the same [`SimReport`] as the uninterrupted
-/// session (pinned by `tests/it_checkpoint.rs`). The in-flight
-/// instruction window is captured as sequence numbers, so a checkpoint
-/// must be resumed against the same recorded trace (same workload, same
-/// budget) it was taken from. A traced session ([`Simulator::new`])
-/// cannot be snapshotted: its tracer's functional state is not
-/// captured.
+/// session (pinned by `tests/it_checkpoint.rs`). Traced and replay
+/// sessions snapshot alike, and a snapshot holds no instruction
+/// records: the in-flight window is captured as sequence numbers,
+/// whose records a resumed session re-derives by tracing the program
+/// again. A checkpoint must therefore be resumed against the program it
+/// was taken from.
 pub struct SimCheckpoint {
     cfg: SimConfig,
     m: Machine,
@@ -848,15 +862,9 @@ impl<'p> Simulator<'p> {
     ///
     /// # Panics
     ///
-    /// Panics on a traced session (only sessions over a recorded trace
-    /// are snapshottable; see [`SimCheckpoint`]) or when observers are
-    /// attached (observer state is caller-owned and cannot be
-    /// captured).
+    /// Panics when observers are attached (observer state is
+    /// caller-owned and cannot be captured).
     pub fn checkpoint(&self) -> SimCheckpoint {
-        assert!(
-            self.insts.tracer.is_none(),
-            "checkpoint requires a session over a recorded trace; tracer state is not snapshottable"
-        );
         assert!(
             self.observers.is_empty(),
             "checkpoint with attached observers is not supported"
@@ -868,52 +876,34 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Rebuilds a running replay session from a checkpoint, with
-    /// session-owned buffers. `trace` must be the recorded trace the
-    /// checkpointed session was replaying (same workload, same
-    /// recording budget); continuing the resumed session reproduces the
-    /// uninterrupted run bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` does not match the checkpoint's recorded
-    /// replay extent.
-    pub fn resume(
-        program: &'p Program,
-        trace: &'p TraceBuffer,
-        ckpt: &SimCheckpoint,
-    ) -> Simulator<'p> {
-        Simulator::resume_inner(program, trace, ckpt, None)
+    /// Rebuilds a running session from a checkpoint of any session,
+    /// with session-owned buffers. `program` must be the program the
+    /// checkpointed session ran. The resumed session is a traced one,
+    /// as [`Simulator::new`] builds: its tracer runs past the
+    /// checkpoint's committed instructions and records the ones in
+    /// flight before the session takes over the checkpointed state, so
+    /// continuing it reproduces the uninterrupted run bit for bit.
+    pub fn resume(program: &'p Program, ckpt: &SimCheckpoint) -> Simulator<'p> {
+        Simulator::new(program, ckpt.cfg.clone()).restore(ckpt)
     }
 
-    /// [`Simulator::resume`] with arena-recycled buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` does not match the checkpoint's recorded
-    /// replay extent.
+    /// [`Simulator::resume`] with arena-recycled buffers, as
+    /// [`Simulator::with_arena`] builds them: the tracer borrows
+    /// `arena.trace`'s last-writer map.
     pub fn resume_with_arena(
         program: &'p Program,
-        trace: &'p TraceBuffer,
         ckpt: &SimCheckpoint,
         arena: &'p mut SimArena,
     ) -> Simulator<'p> {
-        Simulator::resume_inner(program, trace, ckpt, Some(&mut arena.core))
+        Simulator::with_arena(program, ckpt.cfg.clone(), arena).restore(ckpt)
     }
 
-    fn resume_inner(
-        program: &'p Program,
-        trace: &'p TraceBuffer,
-        ckpt: &SimCheckpoint,
-        core: Option<&'p mut CoreBuffers>,
-    ) -> Simulator<'p> {
-        let mut sim = Simulator::build_replay(program, ckpt.cfg.clone(), trace, core);
-        assert_eq!(
-            sim.m.stream_limit, ckpt.m.stream_limit,
-            "checkpoint was taken against a different trace extent"
-        );
-        sim.m = ckpt.m.clone();
-        sim
+    /// Moves a fresh traced session to `ckpt`'s cursor and takes over
+    /// its machine.
+    fn restore(mut self, ckpt: &SimCheckpoint) -> Simulator<'p> {
+        self.insts.seek(ckpt.m.stats.insts, ckpt.m.stream_next);
+        self.m = ckpt.m.clone();
+        self
     }
 
     /// Closes the session and returns the report for everything
@@ -1224,7 +1214,7 @@ impl<'p> Simulator<'p> {
                 }
             }
             LsuModel::Nosq { .. } => {
-                self.train_bypass_predictor(entry, &d, width.bytes() as u8, ls, mispredict)
+                self.train_bypass_predictor(entry, &d, width.bytes() as u8, mispredict)
             }
             LsuModel::NosqOracle => {}
         }
@@ -1263,46 +1253,30 @@ impl<'p> Simulator<'p> {
         self.emit(|o| o.on_load_commit(&ev));
     }
 
-    /// Trains the bypassing predictor on a committed load `d` of
-    /// `width` bytes.
-    fn train_bypass_predictor(
-        &mut self,
-        entry: &Entry,
-        d: &DynInst,
-        width: u8,
-        ls: &LoadState,
-        mispredict: bool,
-    ) {
+    /// Trains the bypassing predictor on the committed load `d` of
+    /// `width` bytes, whose verification found it `mispredict`ed.
+    fn train_bypass_predictor(&mut self, entry: &Entry, d: &DynInst, width: u8, mispredict: bool) {
+        let pred = entry.load.as_ref().and_then(|ls| ls.pred);
         let mut history = PathHistory::new();
         history.restore(entry.path_snap);
-        if mispredict {
-            self.m.stats.verification.bypass_mispredicts += 1;
-            // Compute the actual distance/shift from the T-SSBF (§3.1:
-            // distbyp = SSNcommit − T-SSBF[addr]; at the load's commit
-            // SSNcommit equals its rename-time SSNrename).
-            let actual = match self.m.tssbf.lookup(d.addr, width) {
-                TssbfLookup::Hit(e) => {
-                    let dist = d.stores_before.saturating_sub(e.ssn.0);
-                    if dist <= 63 {
-                        let shift = if e.covers(d.addr, width) {
-                            d.addr.wrapping_sub(e.store_addr()) as u8
-                        } else {
-                            0
-                        };
-                        Some((dist as u16, shift))
-                    } else {
-                        None // beyond the 6-bit distance field
-                    }
-                }
-                _ => None,
-            };
-            let had_path = ls.pred.map(|p| p.path_sensitive).unwrap_or(false);
-            self.m
-                .predictor
-                .train_mispredict(d.pc, &history, had_path, actual);
-        } else if ls.pred.is_some() {
-            self.m.predictor.train_correct(d.pc, &history);
-        }
+        self.m.stats.verification.bypass_mispredicts += u64::from(mispredict);
+        // The actual distance/shift comes from the T-SSBF (§3.1:
+        // distbyp = SSNcommit − T-SSBF[addr]; at the load's commit
+        // SSNcommit equals its rename-time SSNrename), and there is
+        // none beyond the 6-bit distance field.
+        let tssbf = &self.m.tssbf;
+        let actual = || match tssbf.lookup(d.addr, width) {
+            TssbfLookup::Hit(e) => {
+                let dist = d.stores_before.saturating_sub(e.ssn.0);
+                let shift = d.addr.wrapping_sub(e.store_addr()) as u8;
+                let shift = if e.covers(d.addr, width) { shift } else { 0 };
+                (dist <= 63).then_some((dist as u16, shift))
+            }
+            _ => None,
+        };
+        self.m
+            .predictor
+            .train(d.pc, &history, pred, mispredict, actual);
     }
 
     /// Frees rename-side resources for a retiring entry.

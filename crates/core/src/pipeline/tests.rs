@@ -2,9 +2,12 @@
 //! small hand-built program.
 
 use nosq_isa::{Assembler, Cond, Extension, MemWidth, Reg};
+use nosq_wire::WireError;
 
 use crate::config::{LsuModel, Scheduling, SimConfig};
-use crate::pipeline::{simulate, InstSupply, Simulator, CHUNK};
+use crate::pipeline::{
+    simulate, CkptError, InstSupply, SimCheckpoint, Simulator, StopCondition, CHUNK,
+};
 use crate::report::SimReport;
 
 fn all_configs(max: u64) -> Vec<(&'static str, SimConfig)> {
@@ -457,4 +460,22 @@ fn sequence_numbers_resolve_across_the_32_bit_wrap() {
     let committed = next as u64;
     assert_eq!(supply.next(&mut next, usize::MAX, committed), None);
     assert!(supply.base > u64::from(u32::MAX), "refilled past the wrap");
+}
+
+/// A checkpoint whose stream cursor is out of order passes its checksum
+/// but fails to decode, so recovery never resumes it.
+#[test]
+fn a_checkpoint_with_a_bad_stream_cursor_fails_to_decode() {
+    let program = spill_loop(500);
+    let cfg = SimConfig::nosq(2_000);
+    let mut sim = Simulator::new(&program, cfg.clone());
+    sim.run_until(StopCondition::Cycles(300));
+    let mut ckpt = sim.checkpoint();
+    assert!(SimCheckpoint::from_bytes(&ckpt.to_bytes(), &cfg).is_ok());
+    ckpt.m.stream_next = ckpt.m.stream_limit + 1;
+    let err = SimCheckpoint::from_bytes(&ckpt.to_bytes(), &cfg).err();
+    assert_eq!(
+        err,
+        Some(CkptError::Payload(WireError::Invalid("stream cursor")))
+    );
 }

@@ -207,6 +207,28 @@ impl BypassingPredictor {
             .adjust_conf(pc_key(load_pc), self.cfg.conf_up, self.cfg.conf_max);
     }
 
+    /// Commit-stage training of the load at `load_pc` from its
+    /// decode-time `history` and prediction `pred`: a `mispredicted`
+    /// load trains toward `actual()`, its producer's distance and shift
+    /// if known; a verified load that had a prediction confirms it; any
+    /// other load trains nothing. The commit stage and the sampler's
+    /// warmer both train through this rule, each with its own verdict.
+    pub fn train(
+        &mut self,
+        load_pc: u64,
+        history: &PathHistory,
+        pred: Option<Prediction>,
+        mispredicted: bool,
+        actual: impl FnOnce() -> Option<(u16, u8)>,
+    ) {
+        if mispredicted {
+            let had_path = pred.is_some_and(|p| p.path_sensitive);
+            self.train_mispredict(load_pc, history, had_path, actual());
+        } else if pred.is_some() {
+            self.train_correct(load_pc, history);
+        }
+    }
+
     /// Total live entries across both tables (diagnostics).
     pub fn len(&self) -> usize {
         self.pc_table.len() + self.path_table.len()

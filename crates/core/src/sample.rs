@@ -310,40 +310,21 @@ impl WarmState {
         self.front.train(inst, d);
     }
 
-    /// Trains the bypassing predictor the way commit-time verification
-    /// would. The trace's dependence oracle stands in for the SVW: a
-    /// full-coverage producer within the 6-bit distance field is the
-    /// "actual" a mispredicted load would learn; a load whose producer
-    /// is out of range (or absent) verifies clean through the cache.
+    /// Trains the bypassing predictor through the commit stage's rule,
+    /// with the trace's dependence oracle as verification: a load
+    /// mispredicts unless its prediction names its producer within the
+    /// 6-bit distance field (shift 0 under partial coverage); a load
+    /// whose producer is out of range, or absent, verifies clean.
     fn train_load(&mut self, d: &DynInst) {
         let path = &self.front.path;
         let pred = self.predictor.predict(d.pc, path);
-        let truth = d.mem_dep.and_then(|dep| {
-            (dep.store_distance <= 63).then(|| {
-                let shift = if dep.coverage == Coverage::Full {
-                    dep.shift
-                } else {
-                    0
-                };
-                (dep.store_distance as u16, shift)
-            })
+        let truth = d.mem_dep.filter(|dep| dep.store_distance <= 63).map(|dep| {
+            let full = dep.coverage == Coverage::Full;
+            (dep.store_distance as u16, if full { dep.shift } else { 0 })
         });
-        match (pred, truth) {
-            (Some(p), Some(t)) if (p.dist, p.shift) == t => {
-                self.predictor.train_correct(d.pc, path);
-            }
-            (pred, Some(t)) => {
-                let had_path = pred.map(|p| p.path_sensitive).unwrap_or(false);
-                self.predictor
-                    .train_mispredict(d.pc, path, had_path, Some(t));
-            }
-            (Some(_), None) => {
-                // Predicted store is long committed: the pipeline falls
-                // back to a normal cache access and verifies clean.
-                self.predictor.train_correct(d.pc, path);
-            }
-            (None, None) => {}
-        }
+        let mispredicted = truth.is_some() && pred.map(|p| (p.dist, p.shift)) != truth;
+        self.predictor
+            .train(d.pc, path, pred, mispredicted, || truth);
     }
 }
 

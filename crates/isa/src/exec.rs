@@ -180,17 +180,6 @@ impl ArchState {
         &self.mem
     }
 
-    /// A stable digest of the architectural state (registers + retired
-    /// count), used by tests to compare executions.
-    pub fn reg_digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64; // FNV-1a
-        for r in &self.regs {
-            h ^= *r;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^ self.retired
-    }
-
     fn src_value(&self, src: Src) -> u64 {
         match src {
             Src::Reg(r) => self.reg(r),

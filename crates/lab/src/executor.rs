@@ -136,6 +136,8 @@ where
 /// `(profile name, seed, budget)`, which is stable across jobs, so a
 /// repeated campaign spec reuses both the arena's buffers and the
 /// recorded trace instead of paying the functional front end again.
+/// Journaled or not, a job records only under the replay rule, so a
+/// worker running one-config campaigns caches no trace.
 #[derive(Default)]
 pub struct WorkerContext {
     arena: SimArena,
@@ -213,8 +215,8 @@ struct JobCkpt<'a> {
 /// Runs grid job `i` as an incremental session on `worker`: the
 /// worker's cached trace (re-recorded on profile change) replayed with
 /// arena-recycled buffers, or a traced session when recording first
-/// would not pay, advanced in chunks after each of which progress is
-/// published.
+/// would not pay or the job resumes, advanced in chunks after each of
+/// which progress is published.
 /// Chunked, replayed, resumed and arena-backed execution is
 /// bit-identical to a one-shot `simulate()` (the session API's core
 /// guarantee), so none of this changes results, only wall-clock.
@@ -235,14 +237,11 @@ fn run_job(
         Some(k) => (k.every, k.resume, k.sink),
         None => (0, None, &mut no_sink),
     };
-    // Snapshots need a session over a recorded trace, so a
-    // checkpointing or resumed job always records its trace first.
-    // Otherwise record first only when the trace will be replayed
-    // (several configurations per profile) and stays reasonably sized;
-    // else run a traced session, which records its own stream a chunk
-    // at a time and holds little more than the instructions in flight.
-    let replay =
-        every > 0 || resume.is_some() || (n_configs > 1 && cfg.max_insts <= REPLAY_BUDGET_CAP);
+    // Record first only when the trace will be replayed (several
+    // configurations per profile) and stays reasonably sized; else run
+    // a traced session, which records its own stream a chunk at a time
+    // and holds little more than the instructions in flight.
+    let replay = n_configs > 1 && cfg.max_insts <= REPLAY_BUDGET_CAP;
     let mut trace_secs = 0.0;
     if replay {
         let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
@@ -263,12 +262,10 @@ fn run_job(
     }
 
     let started = Instant::now();
-    let mut sim = match &worker.trace {
-        Some((_, trace)) => match &resume {
-            Some(ck) => Simulator::resume_with_arena(program, trace, ck, &mut worker.arena),
-            None => Simulator::replay_with_arena(program, cfg, trace, &mut worker.arena),
-        },
-        None => Simulator::with_arena(program, cfg, &mut worker.arena),
+    let mut sim = match (&resume, &worker.trace) {
+        (Some(ck), _) => Simulator::resume_with_arena(program, ck, &mut worker.arena),
+        (None, Some((_, t))) => Simulator::replay_with_arena(program, cfg, t, &mut worker.arena),
+        (None, None) => Simulator::with_arena(program, cfg, &mut worker.arena),
     };
     // Counting from 0 (not from a resumed snapshot's position) reports
     // the restored prefix as progress too.
@@ -465,9 +462,9 @@ pub struct CkptEvent<'a> {
 /// resume point and a sink that ignores its events.
 ///
 /// Reports are bit-identical to [`run_campaign`] at any checkpoint
-/// cadence and any resume point (`tests/it_serve.rs` pins this). A
-/// checkpointing or resumed job always buffers its trace for replay,
-/// so budgets beyond the usual replay cap pay the memory.
+/// cadence and any resume point (`tests/it_serve.rs` pins this). Jobs
+/// follow [`run_campaign`]'s replay rule at any cadence, and a resumed
+/// job re-traces its committed prefix.
 ///
 /// `ckpt_every_insts == 0` disables mid-job snapshots; the sink then
 /// sees only job-boundary events. The final boundary (all jobs done)

@@ -326,9 +326,9 @@ fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), String> {
             _ => positional.push(arg.clone()),
         }
     }
-    // Checkpointing snapshots the serial replay loop; the sampling
-    // estimator has no snapshot form, so a durable run (or a journal
-    // resume) excludes it.
+    // Checkpointing snapshots the serial campaign loop's sessions; the
+    // sampling estimator has no snapshot form, so a durable run (or a
+    // journal resume) excludes it.
     if (options.journal.is_some() || options.resume.is_some()) && options.sample.is_some() {
         return Err("`--journal`/`--resume` are incompatible with `--sample`".to_owned());
     }

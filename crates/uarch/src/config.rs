@@ -126,17 +126,6 @@ impl MachineConfig {
             },
         }
     }
-
-    /// Issue slots available per cycle for a class.
-    pub fn slots_for(&self, class: InstClass) -> usize {
-        match class {
-            InstClass::SimpleInt | InstClass::Halt => self.simple_int_slots,
-            InstClass::Complex => self.complex_slots,
-            InstClass::Branch => self.branch_slots,
-            InstClass::Load => self.load_slots,
-            InstClass::Store => self.store_slots,
-        }
-    }
 }
 
 #[cfg(test)]

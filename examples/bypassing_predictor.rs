@@ -23,36 +23,17 @@ fn path_dependent_accuracy(history_contains_branch: bool) -> f64 {
         if history_contains_branch {
             h.push_branch(taken);
         }
+        let pred = p.predict(pc, &h);
+        // A delayed (unconfident) load is always safe, never a
+        // mis-prediction; a non-bypassing prediction for this
+        // communicating load always is one.
+        let mispredicted = pred.is_none_or(|pred| pred.confident && pred.dist != actual_dist);
         // Warm-up excluded from the score.
-        let scored = i >= 1000;
-        match p.predict(pc, &h) {
-            Some(pred) if pred.confident => {
-                let ok = pred.dist == actual_dist;
-                if scored {
-                    total += 1;
-                    correct += ok as u32;
-                }
-                if ok {
-                    p.train_correct(pc, &h);
-                } else {
-                    p.train_mispredict(pc, &h, pred.path_sensitive, Some((actual_dist, 0)));
-                }
-            }
-            Some(_) => {
-                // Delayed: always safe, never a mis-prediction.
-                if scored {
-                    total += 1;
-                    correct += 1;
-                }
-                p.train_correct(pc, &h);
-            }
-            None => {
-                if scored {
-                    total += 1; // a non-bypassing prediction for a communicating load
-                }
-                p.train_mispredict(pc, &h, false, Some((actual_dist, 0)));
-            }
+        if i >= 1000 {
+            total += 1;
+            correct += u32::from(!mispredicted);
         }
+        p.train(pc, &h, pred, mispredicted, || Some((actual_dist, 0)));
     }
     100.0 * correct as f64 / total as f64
 }

@@ -76,7 +76,7 @@ proptest! {
             "re-encoding a decoded checkpoint must be canonical"
         );
 
-        let resumed = Simulator::resume(&program, &trace, &decoded).run();
+        let resumed = Simulator::resume(&program, &decoded).run();
         prop_assert_eq!(
             resumed, uninterrupted,
             "resume from decoded bytes diverged (snapshot at cycle {})",

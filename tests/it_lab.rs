@@ -1,8 +1,13 @@
 //! Integration suite for the `nosq-lab` campaign engine: executor
 //! determinism across thread counts, spec-driven campaigns end to end,
-//! and the engine's interaction with `SimConfig` validation.
+//! durable runs of one-config campaigns, and the engine's interaction
+//! with `SimConfig` validation.
 
-use nosq_lab::{artifacts, parallel_map_indexed, run_campaign, Campaign, Preset, RunOptions};
+use nosq_check::sync::StdSync;
+use nosq_lab::{
+    artifacts, parallel_map_indexed, run_campaign, run_campaign_durable, synthesize_programs,
+    Campaign, Preset, ProgressCounters, RunOptions, WorkerContext,
+};
 
 /// A small but non-trivial campaign: 3 presets × 8 profiles across all
 /// three suites, with a baseline for the speedup artifacts.
@@ -71,6 +76,45 @@ baseline = assoc-sq
         result.report(0, 0),
         "engine diverged from simulate()"
     );
+}
+
+/// A checkpointing one-config campaign snapshots traced sessions
+/// instead of recording each job's trace first: at a nonzero cadence
+/// the durable runner writes `run_campaign`'s artifacts, hands its sink
+/// mid-job states, and spends no time recording.
+#[test]
+fn durable_one_config_campaign_checkpoints_without_recording() {
+    let campaign = Campaign::builder("durable-one")
+        .preset(Preset::Nosq)
+        .profiles(["gzip", "applu"])
+        .max_insts(5_000)
+        .build()
+        .expect("valid campaign");
+    let programs = synthesize_programs(&campaign, 1);
+    let progress: ProgressCounters<StdSync> = ProgressCounters::new();
+    let mut states = 0;
+    let result = run_campaign_durable(
+        &campaign,
+        &programs,
+        &mut WorkerContext::new(),
+        &progress,
+        1_000,
+        None,
+        &mut |ev| states += usize::from(ev.state.is_some()),
+    );
+    assert_eq!(
+        artifacts(&result),
+        artifacts(&run_campaign(&campaign, &RunOptions::default())),
+        "the durable runner must match run_campaign bit-for-bit"
+    );
+    assert!(states >= 1, "no mid-job state reached the sink");
+    for t in &result.timings {
+        assert_eq!(
+            t.trace_secs, 0.0,
+            "job {}/{} recorded a trace",
+            t.profile, t.config
+        );
+    }
 }
 
 /// Campaign construction surfaces `SimConfig` validation errors
